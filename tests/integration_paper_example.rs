@@ -8,7 +8,7 @@ use hcsp::core::detection::detect_common_queries;
 use hcsp::core::query::BatchSummary;
 use hcsp::core::sharing_graph::SharingGraph;
 use hcsp::core::similarity::{QueryNeighborhood, SimilarityMatrix};
-use hcsp::core::HcsQuery;
+use hcsp::core::{HcsQuery, SearchCounters};
 use hcsp::prelude::*;
 use hcsp_graph::GraphBuilder;
 
@@ -206,4 +206,64 @@ fn example_4_3_shared_enumeration_reuses_cached_results() {
         stats.counters.expanded_vertices,
         basic_stats.counters.expanded_vertices
     );
+}
+
+#[test]
+fn golden_path_order_and_counters_for_every_algorithm() {
+    // Emission order is part of the contract (parallel runs and the result modes are
+    // defined against it), so it is pinned literally: plain variants take a level's
+    // candidates in vertex-id order, the `+` variants closest-to-anchor first.
+    let by_vertex_id: Vec<Vec<Vec<u32>>> = vec![
+        vec![
+            vec![0, 1, 7, 10, 12, 11],
+            vec![0, 4, 9, 3, 6, 11],
+            vec![0, 4, 9, 15, 6, 11],
+        ],
+        vec![
+            vec![2, 1, 7, 10, 12, 13],
+            vec![2, 4, 9, 3, 6, 13],
+            vec![2, 4, 9, 15, 6, 13],
+        ],
+        vec![vec![5, 1, 7, 10, 12]],
+        vec![vec![4, 9, 3, 6, 14], vec![4, 9, 15, 6, 14]],
+        vec![vec![9, 3, 6, 14], vec![9, 15, 6, 14]],
+    ];
+    let mut by_distance = by_vertex_id.clone();
+    by_distance[0].rotate_left(1);
+    by_distance[1].rotate_left(1);
+    let unshared = SearchCounters {
+        expanded_vertices: 50,
+        scanned_edges: 50,
+        pruned_edges: 10,
+        stored_prefixes: 50,
+        cache_splices: 0,
+        produced_paths: 11,
+    };
+    let shared = SearchCounters {
+        expanded_vertices: 22,
+        scanned_edges: 25,
+        pruned_edges: 3,
+        stored_prefixes: 56,
+        cache_splices: 12,
+        produced_paths: 11,
+    };
+
+    let g = paper_graph();
+    let queries = paper_queries();
+    for algorithm in Algorithm::ALL {
+        let outcome = BatchEngine::with_algorithm(algorithm).run(&g, &queries);
+        let got: Vec<Vec<Vec<u32>>> = outcome
+            .paths
+            .iter()
+            .map(|set| path_ids(&set.to_paths()))
+            .collect();
+        let (paths, counters) = match algorithm {
+            Algorithm::PathEnum | Algorithm::BasicEnum => (&by_vertex_id, unshared),
+            Algorithm::BasicEnumPlus => (&by_distance, unshared),
+            Algorithm::BatchEnum => (&by_vertex_id, shared),
+            Algorithm::BatchEnumPlus => (&by_distance, shared),
+        };
+        assert_eq!(&got, paths, "{algorithm}: per-query path order");
+        assert_eq!(outcome.stats.counters, counters, "{algorithm}: counters");
+    }
 }

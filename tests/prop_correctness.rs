@@ -56,6 +56,54 @@ proptest! {
         }
     }
 
+    /// An aborted run is a prefix of the full run: a sink that answers `SkipQuery` after
+    /// `per_query` paths of a query receives exactly the first `per_query` paths of that
+    /// query, and one that answers `Stop` after `total` paths receives exactly the first
+    /// `total` paths of the batch — same paths, same order as the unaborted run.
+    #[test]
+    fn aborted_run_is_a_prefix_of_the_full_run(
+        (graph, queries) in workload_strategy(),
+        per_query in 1usize..4,
+        total in 1usize..6,
+    ) {
+        for algorithm in Algorithm::ALL {
+            let engine = BatchEngine::with_algorithm(algorithm);
+            // `verdict(paths seen so far, paths of this query seen so far)`.
+            let run = |verdict: &dyn Fn(usize, usize) -> SinkFlow| {
+                let mut seen: Vec<(usize, Vec<VertexId>)> = Vec::new();
+                let mut per = vec![0usize; queries.len()];
+                let mut sink = ControlSink::new(|q, p: &[VertexId]| {
+                    seen.push((q, p.to_vec()));
+                    per[q] += 1;
+                    verdict(seen.len(), per[q])
+                });
+                engine.run_with_sink(&graph, &queries, &mut sink);
+                seen
+            };
+            let full = run(&|_, _| SinkFlow::Continue);
+
+            let skipped = run(&|_, of_query| {
+                if of_query >= per_query { SinkFlow::SkipQuery } else { SinkFlow::Continue }
+            });
+            let mut kept = vec![0usize; queries.len()];
+            let expected: Vec<_> = full
+                .iter()
+                .filter(|(q, _)| {
+                    kept[*q] += 1;
+                    kept[*q] <= per_query
+                })
+                .cloned()
+                .collect();
+            prop_assert_eq!(&skipped, &expected, "SkipQuery after {} under {}", per_query, algorithm);
+
+            let stopped = run(&|overall, _| {
+                if overall >= total { SinkFlow::Stop } else { SinkFlow::Continue }
+            });
+            let expected = &full[..total.min(full.len())];
+            prop_assert_eq!(&stopped[..], expected, "Stop after {} under {}", total, algorithm);
+        }
+    }
+
     /// Every returned path is simple, edge-valid, endpoint-correct and within the bound.
     #[test]
     fn returned_paths_are_well_formed((graph, queries) in workload_strategy()) {
