@@ -16,11 +16,10 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig3c`, `exp1` … `exp7`, `ablation-order`, `ablation-cluster`,
-//! `parallel-scaling`, `frontier` (recursive vs frontier expansion engine), `mixed-rw`,
-//! `result-modes`, `storage`, `server-latency` (drives a
+//! `parallel-scaling`, `mixed-rw`, `result-modes`, `storage`, `server-latency` (drives a
 //! live TCP server with the load generator and writes `BENCH_server_latency.json`),
-//! `all`, plus the `perf-smoke` gate (parallel scaling, mixed read/write **and** the
-//! frontier engine comparison, each against its committed baseline).
+//! `all`, plus the `perf-smoke` gate (parallel scaling and mixed read/write, each against
+//! its committed baseline).
 //! Options: `--scale
 //! tiny|small|medium|large`, `--datasets A,B,...`, `--queries N`, `--kmin K`, `--kmax K`,
 //! `--json`, `--threads 1,2,4`, `--batches 8,32`, `--out FILE`, `--baseline FILE`,
@@ -162,7 +161,6 @@ fn run_experiment(experiment: &str, config: &BenchConfig, options: &CliOptions) 
         "parallel-scaling" => {
             harness::parallel_scaling(config, &options.threads, &options.batches, options.repeats)
         }
-        "frontier" => harness::frontier_comparison(config, options.repeats),
         "mixed-rw" => harness::mixed_read_write(config),
         "result-modes" => harness::result_modes(config),
         "storage" => harness::storage_durability(config),
@@ -205,10 +203,6 @@ fn scaling_document(table: &Table) -> String {
 /// scaling; regenerate with `perf-smoke --write-baseline`).
 const MIXED_BASELINE: &str = "bench/baseline_mixed_rw.json";
 
-/// Committed baseline of the frontier-vs-recursive engine comparison (gated alongside
-/// the other perf-smoke scenarios; regenerate with `perf-smoke --write-baseline`).
-const FRONTIER_BASELINE: &str = "bench/baseline_frontier.json";
-
 /// The CI perf gate: quick scaling + mixed read/write runs → JSON artifacts → baseline
 /// comparisons. Both scenarios gate with the same tolerance semantics; a scenario with
 /// no committed baseline is skipped (with a note) rather than failed.
@@ -239,14 +233,6 @@ fn run_perf_smoke(options: &CliOptions) {
     let mixed_out = "BENCH_mixed_rw.json";
     write_or_die(mixed_out, &mixed_document);
 
-    let frontier = harness::frontier_comparison(&config, options.repeats);
-    let frontier_document = format!(
-        "{{\"bench\":\"frontier\",\"schema_version\":1,{}",
-        &frontier.to_json()[1..]
-    );
-    let frontier_out = "BENCH_frontier.json";
-    write_or_die(frontier_out, &frontier_document);
-
     // Report-only epoch counters from a live service run over the delete-heavy mix:
     // proof the snapshot machinery is exercised (not a gated number).
     let epoch_stats = harness::service_epoch_counters(&config);
@@ -258,7 +244,6 @@ fn run_perf_smoke(options: &CliOptions) {
     if options.write_baseline {
         write_baseline_or_die(&options.baseline, &document);
         write_baseline_or_die(MIXED_BASELINE, &mixed_document);
-        write_baseline_or_die(FRONTIER_BASELINE, &frontier_document);
         return;
     }
 
@@ -274,13 +259,7 @@ fn run_perf_smoke(options: &CliOptions) {
         &mixed_document,
         options.tolerance,
     );
-    let frontier_ok = gate_against(
-        "frontier",
-        FRONTIER_BASELINE,
-        &frontier_document,
-        options.tolerance,
-    );
-    if !(scaling_ok && mixed_ok && frontier_ok) {
+    if !(scaling_ok && mixed_ok) {
         std::process::exit(1);
     }
 }
@@ -438,7 +417,6 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
                     "ablation-order",
                     "ablation-cluster",
                     "parallel-scaling",
-                    "frontier",
                     "mixed-rw",
                     "result-modes",
                     "storage",
@@ -476,13 +454,12 @@ fn print_usage() {
          [--threads 1,2,4] [--batches 64,256] [--repeats N] [--out FILE] [--baseline FILE] \
          [--tolerance 0.2] [--write-baseline]\n\
          experiments: table1 fig3c exp1 exp2 exp3 exp4 exp5 exp6 exp7 \
-         ablation-order ablation-cluster parallel-scaling frontier mixed-rw result-modes \
+         ablation-order ablation-cluster parallel-scaling mixed-rw result-modes \
          storage counters server-latency perf-smoke all\n\
-         perf-smoke: runs parallel-scaling, mixed-rw and frontier in quick mode, writes \
-         the JSON artifacts (--out, BENCH_mixed_rw.json and BENCH_frontier.json) and \
-         fails when any scenario's throughput regresses more than --tolerance against \
-         its committed baseline (--baseline, bench/baseline_mixed_rw.json and \
-         bench/baseline_frontier.json); --write-baseline (re)creates all baselines \
-         instead"
+         perf-smoke: runs parallel-scaling and mixed-rw in quick mode, writes the JSON \
+         artifacts (--out and BENCH_mixed_rw.json) and fails when either scenario's \
+         throughput regresses more than --tolerance against its committed baseline \
+         (--baseline and bench/baseline_mixed_rw.json); --write-baseline (re)creates both \
+         baselines instead"
     );
 }

@@ -12,8 +12,8 @@ use hcsp_core::materialize::materialize_batch;
 use hcsp_core::query::BatchSummary;
 use hcsp_core::similarity::{QueryNeighborhood, SimilarityMatrix};
 use hcsp_core::{
-    Algorithm, BatchEngine, CountSink, Engine, EnumStats, ExpansionMode, Parallelism, PathQuery,
-    QuerySpec, ResultMode, SearchOrder, ServiceStats, SplitPolicy, Stage,
+    Algorithm, BatchEngine, CountSink, Engine, EnumStats, Parallelism, PathQuery, QuerySpec,
+    ResultMode, SearchOrder, ServiceStats, SplitPolicy, Stage,
 };
 use hcsp_graph::sampling::sample_vertices;
 use hcsp_graph::DiGraph;
@@ -526,79 +526,6 @@ pub fn parallel_scaling(
                 ]);
             }
         }
-    }
-    table
-}
-
-/// Frontier vs recursive expansion: end-to-end throughput of the two execution engines
-/// on the identical batch (the data series behind `BENCH_frontier.json`).
-///
-/// Both engines run `BatchEnum+` on the same sharing-heavy query set, best-of-`repeats`;
-/// `qps` is the frontier engine's throughput (the default engine, and the number the
-/// perf gate compares against `bench/baseline_frontier.json`). Honesty checks built in:
-/// the two engines must agree on the result counts *and* on every traversal counter —
-/// the frontier engine is a pure execution-strategy change, so a speedup from different
-/// work would be a correctness bug, not a win.
-pub fn frontier_comparison(config: &BenchConfig, repeats: usize) -> Table {
-    let mut table = Table::new(
-        "Frontier vs recursive expansion: BatchEnum+ throughput per engine",
-        &[
-            "dataset",
-            "queries",
-            "recursive_s",
-            "frontier_s",
-            "qps",
-            "recursive_qps",
-            "speedup",
-            "expanded",
-        ],
-    );
-    for &dataset in &config.datasets {
-        let graph = dataset.build(config.scale);
-        let queries = similar_query_set(&graph, config.query_spec(), 0.5);
-        if queries.is_empty() {
-            continue;
-        }
-        let run = |mode: ExpansionMode| {
-            let engine = BatchEngine::builder()
-                .algorithm(Algorithm::BatchEnumPlus)
-                .gamma(0.5)
-                .expansion_mode(mode)
-                .build();
-            let mut seconds = f64::INFINITY;
-            let mut result = None;
-            for _ in 0..repeats.max(1) {
-                let mut sink = CountSink::new(queries.len());
-                let start = Instant::now();
-                let stats = engine.run_with_sink(&graph, &queries, &mut sink);
-                seconds = seconds.min(start.elapsed().as_secs_f64());
-                result = Some((sink.total(), stats));
-            }
-            let (total, stats) = result.expect("at least one repeat");
-            (seconds, total, stats)
-        };
-        let (recursive_s, recursive_total, recursive_stats) = run(ExpansionMode::Recursive);
-        let (frontier_s, frontier_total, frontier_stats) = run(ExpansionMode::Frontier);
-        assert_eq!(
-            frontier_total, recursive_total,
-            "the engines must agree on result counts"
-        );
-        assert_eq!(
-            frontier_stats.counters, recursive_stats.counters,
-            "the engines must agree on every traversal counter"
-        );
-        let qps = queries.len() as f64 / frontier_s.max(1e-9);
-        let recursive_qps = queries.len() as f64 / recursive_s.max(1e-9);
-        table.push_row(vec![
-            dataset.to_string(),
-            queries.len().to_string(),
-            format!("{recursive_s:.6}"),
-            format!("{frontier_s:.6}"),
-            format!("{qps:.2}"),
-            format!("{recursive_qps:.2}"),
-            format!("{:.3}", recursive_s / frontier_s.max(1e-9)),
-            frontier_stats.counters.expanded_vertices.to_string(),
-        ]);
     }
     table
 }
@@ -1384,23 +1311,6 @@ mod tests {
         }
         // The threads=1 rows are the speedup reference.
         assert_eq!(t.rows()[0][5], "1.000");
-    }
-
-    #[test]
-    fn frontier_comparison_reports_matching_engines() {
-        let t = frontier_comparison(&test_config(), 2);
-        assert_eq!(t.len(), 2);
-        for row in t.rows() {
-            let qps: f64 = row[4].parse().unwrap();
-            let recursive_qps: f64 = row[5].parse().unwrap();
-            assert!(qps > 0.0, "frontier throughput must be positive: {row:?}");
-            assert!(recursive_qps > 0.0);
-            let expanded: u64 = row[7].parse().unwrap();
-            assert!(
-                expanded > 0,
-                "the workload must do real search work: {row:?}"
-            );
-        }
     }
 
     #[test]

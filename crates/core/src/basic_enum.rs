@@ -8,7 +8,6 @@
 use crate::buffers::SearchBuffers;
 use crate::pathenum::PathEnum;
 use crate::query::{BatchSummary, PathQuery};
-use crate::search::ExpansionMode;
 use crate::search_order::SearchOrder;
 use crate::sink::PathSink;
 use crate::stats::{EnumStats, Stage};
@@ -21,23 +20,12 @@ use std::time::Instant;
 pub struct BasicEnum {
     /// Neighbour expansion order; [`SearchOrder::DistanceThenDegree`] yields `BasicEnum+`.
     pub order: SearchOrder,
-    /// Half-search expansion mechanics (frontier engine vs recursive oracle).
-    pub mode: ExpansionMode,
 }
 
 impl BasicEnum {
-    /// Creates the algorithm with the given search order and the default expansion mode.
+    /// Creates the algorithm with the given search order.
     pub fn new(order: SearchOrder) -> Self {
-        BasicEnum {
-            order,
-            mode: ExpansionMode::default(),
-        }
-    }
-
-    /// Selects the half-search expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
+        BasicEnum { order }
     }
 
     /// Processes a batch of queries, streaming every result path into `sink`.
@@ -97,7 +85,7 @@ impl BasicEnum {
     ) -> EnumStats {
         let mut stats = EnumStats::new(queries.len());
         stats.num_clusters = queries.len();
-        let per_query = PathEnum::new(self.order).with_mode(self.mode);
+        let per_query = PathEnum::new(self.order);
         for (id, query) in queries.iter().enumerate() {
             // The per-query runner consults the sink's quota itself: satisfied queries
             // are skipped, bounded ones run the early-terminating streaming join.

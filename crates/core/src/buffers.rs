@@ -11,7 +11,7 @@
 //!   the current prefix is O(1) instead of a linear stack scan, and "clearing" it for the
 //!   next traversal is a single epoch increment, not an O(|V|) wipe.
 //! * **Candidate arena** — a single flat `Vec` holding the candidate lists of *all* open
-//!   recursion levels back to back: a level records its start offset, appends its
+//!   DFS levels back to back: a level records its start offset, appends its
 //!   candidates, iterates them by index, and truncates back on exit. Deeper levels only
 //!   ever append after the current level's range, so no per-level allocation is needed.
 //! * **Half-search path sets** — the forward/backward prefix sets of a query, cleared
@@ -100,11 +100,9 @@ pub struct JoinScratch {
 /// One open level of the frontier traversal: a contiguous candidate run
 /// `candidates[start..end]` with `cursor` marking the next candidate to take.
 ///
-/// The frontier engine replaces the recursion stack of the DFS with a `Vec<LevelRun>`:
-/// descending pushes a run, exhausting a run pops it. Because deeper runs only ever
-/// append after `end`, truncating the arena back to `start` on pop reclaims the space
-/// with no per-level allocation — the same discipline the recursive engine applies
-/// implicitly through its call stack.
+/// The DFS stack is a `Vec<LevelRun>`: descending pushes a run, exhausting a run pops
+/// it. Because deeper runs only ever append after `end`, truncating the arena back to
+/// `start` on pop reclaims the space with no per-level allocation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LevelRun {
     /// First candidate of this level in the arena.
@@ -127,13 +125,12 @@ pub struct SearchBuffers {
     pub(crate) stack: Vec<VertexId>,
     /// O(1) membership of the current prefix.
     pub(crate) marks: VisitMarks,
-    /// Flat candidate arena shared by all open recursion levels.
+    /// Flat candidate arena shared by all open levels.
     pub(crate) candidates: Vec<VertexId>,
-    /// Open levels of the iterative frontier traversal (empty while the recursive
-    /// engine runs; it keeps its levels on the call stack).
+    /// Open levels of the iterative frontier traversal.
     pub(crate) levels: Vec<LevelRun>,
-    /// Sort keys parallel to `candidates`: `(dist_towards_anchor, degree)` per
-    /// candidate, filled by the frontier fill pass so ordering never re-derives them.
+    /// Sort keys parallel to `candidates`: `(dist-to-anchor, degree)` per candidate,
+    /// filled by the frontier fill pass so ordering never re-derives them.
     pub(crate) cand_keys: Vec<(u32, u32)>,
     /// Reusable `(dist, degree, vertex)` triples for the keyed candidate sort.
     pub(crate) sort_buf: Vec<(u32, u32, VertexId)>,
@@ -266,5 +263,41 @@ mod tests {
         assert!(buffers.cand_keys.is_empty());
         assert!(!buffers.marks.contains(v(0)));
         assert!(buffers.stack.capacity() >= stack_cap);
+    }
+
+    #[test]
+    fn sort_run_by_keys_orders_by_distance_then_degree_then_vertex() {
+        // The key ends in the vertex id, so it is a total order: the unstable sort has
+        // exactly one valid output even among candidates tied on (distance, degree).
+        let mut buffers = SearchBuffers::new();
+        // An outer run that must stay untouched, then the run being sorted.
+        buffers.candidates.extend([v(9), v(8)]);
+        buffers.cand_keys.extend([(7, 7), (0, 0)]);
+        buffers
+            .candidates
+            .extend([v(5), v(4), v(3), v(2), v(1), v(0)]);
+        buffers
+            .cand_keys
+            .extend([(2, 1), (1, 3), (1, 3), (1, 2), (u32::MAX, 0), (2, 1)]);
+        buffers.sort_run_by_keys(2, 8);
+        assert_eq!(
+            buffers.candidates,
+            [v(9), v(8), v(2), v(3), v(4), v(0), v(5), v(1)],
+            "unreachable (INF) sorts last; ties fall back to degree, then vertex id"
+        );
+        assert_eq!(
+            buffers.cand_keys,
+            [
+                (7, 7),
+                (0, 0),
+                (1, 2),
+                (1, 3),
+                (1, 3),
+                (2, 1),
+                (2, 1),
+                (u32::MAX, 0)
+            ],
+            "keys move with their candidates"
+        );
     }
 }

@@ -15,7 +15,6 @@ use crate::parallel::{
 use crate::path::PathSet;
 use crate::pathenum::PathEnum;
 use crate::query::{BatchSummary, PathQuery};
-use crate::search::ExpansionMode;
 use crate::search_order::SearchOrder;
 use crate::sink::{CollectSink, CountSink, PathSink};
 use crate::spec::{QuerySpec, ResultMode, RoutedSink, SpecOutcome, SpecSink};
@@ -86,7 +85,6 @@ impl fmt::Display for Algorithm {
 pub struct BatchEngine {
     algorithm: Algorithm,
     gamma: f64,
-    mode: ExpansionMode,
 }
 
 impl Default for BatchEngine {
@@ -94,7 +92,6 @@ impl Default for BatchEngine {
         BatchEngine {
             algorithm: Algorithm::BatchEnumPlus,
             gamma: DEFAULT_GAMMA,
-            mode: ExpansionMode::default(),
         }
     }
 }
@@ -104,7 +101,6 @@ impl Default for BatchEngine {
 pub struct BatchEngineBuilder {
     algorithm: Option<Algorithm>,
     gamma: Option<f64>,
-    mode: Option<ExpansionMode>,
 }
 
 impl BatchEngineBuilder {
@@ -120,19 +116,11 @@ impl BatchEngineBuilder {
         self
     }
 
-    /// Selects the half-search expansion mode (default: the frontier engine; the
-    /// recursive oracle exists for cross-validation and A/B benchmarking).
-    pub fn expansion_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
     /// Finalises the engine.
     pub fn build(self) -> BatchEngine {
         BatchEngine {
             algorithm: self.algorithm.unwrap_or(Algorithm::BatchEnumPlus),
             gamma: self.gamma.unwrap_or(DEFAULT_GAMMA).clamp(0.0, 1.0),
-            mode: self.mode.unwrap_or_default(),
         }
     }
 }
@@ -169,7 +157,6 @@ impl BatchEngine {
         BatchEngine {
             algorithm,
             gamma: DEFAULT_GAMMA,
-            mode: ExpansionMode::default(),
         }
     }
 
@@ -183,11 +170,6 @@ impl BatchEngine {
         self.gamma
     }
 
-    /// The configured half-search expansion mode.
-    pub fn expansion_mode(&self) -> ExpansionMode {
-        self.mode
-    }
-
     /// Runs the batch, streaming every result path into a caller-provided sink.
     pub fn run_with_sink<S: PathSink>(
         &self,
@@ -196,17 +178,14 @@ impl BatchEngine {
         sink: &mut S,
     ) -> EnumStats {
         match self.algorithm {
-            Algorithm::PathEnum => PathEnum::new(self.algorithm.search_order())
-                .with_mode(self.mode)
-                .run_batch(graph, queries, sink),
+            Algorithm::PathEnum => {
+                PathEnum::new(self.algorithm.search_order()).run_batch(graph, queries, sink)
+            }
             Algorithm::BasicEnum | Algorithm::BasicEnumPlus => {
-                BasicEnum::new(self.algorithm.search_order())
-                    .with_mode(self.mode)
-                    .run_batch(graph, queries, sink)
+                BasicEnum::new(self.algorithm.search_order()).run_batch(graph, queries, sink)
             }
             Algorithm::BatchEnum | Algorithm::BatchEnumPlus => {
                 BatchEnum::new(self.algorithm.search_order(), self.gamma)
-                    .with_mode(self.mode)
                     .run_batch(graph, queries, sink)
             }
         }
@@ -249,9 +228,7 @@ impl BatchEngine {
             // per-query pipeline (quota-aware, so bounded modes still short-circuit).
             Algorithm::PathEnum => {
                 let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
-                PathEnum::new(self.algorithm.search_order())
-                    .with_mode(self.mode)
-                    .run_batch(graph, &queries, &mut sink)
+                PathEnum::new(self.algorithm.search_order()).run_batch(graph, &queries, &mut sink)
             }
             _ => {
                 let start = Instant::now();
@@ -328,12 +305,15 @@ fn run_specs_with_index(
     let mut routed = RoutedSink::new(sink, &route);
     let mut stats = match config.algorithm() {
         Algorithm::PathEnum => unreachable!("PathEnum specs run without a shared index"),
-        Algorithm::BasicEnum | Algorithm::BasicEnumPlus => BasicEnum::new(order)
-            .with_mode(config.expansion_mode())
-            .run_batch_with_index(graph, index, &live_queries, &mut routed),
-        _ => BatchEnum::new(order, config.gamma())
-            .with_mode(config.expansion_mode())
-            .run_batch_with_index(graph, index, &live_queries, &mut routed),
+        Algorithm::BasicEnum | Algorithm::BasicEnumPlus => {
+            BasicEnum::new(order).run_batch_with_index(graph, index, &live_queries, &mut routed)
+        }
+        _ => BatchEnum::new(order, config.gamma()).run_batch_with_index(
+            graph,
+            index,
+            &live_queries,
+            &mut routed,
+        ),
     };
     stats.num_queries = specs.len();
     stats
@@ -806,25 +786,22 @@ impl Engine {
             return EnumStats::new(0);
         }
         let order = self.config.algorithm().search_order();
-        let mode = self.config.expansion_mode();
         match self.config.algorithm() {
             // The real-time baseline: per-query index by definition, nothing cached.
-            Algorithm::PathEnum => {
-                PathEnum::new(order)
-                    .with_mode(mode)
-                    .run_batch(&self.graph, queries, sink)
-            }
+            Algorithm::PathEnum => PathEnum::new(order).run_batch(&self.graph, queries, sink),
             algorithm => {
                 let summary = BatchSummary::of(queries);
                 let prep_time = self.ensure_index(&summary);
                 let index = self.index.as_ref().expect("ensured above");
                 let mut stats = match algorithm {
                     Algorithm::BasicEnum | Algorithm::BasicEnumPlus => BasicEnum::new(order)
-                        .with_mode(mode)
                         .run_batch_with_index(&self.graph, index, queries, sink),
-                    _ => BatchEnum::new(order, self.config.gamma())
-                        .with_mode(mode)
-                        .run_batch_with_index(&self.graph, index, queries, sink),
+                    _ => BatchEnum::new(order, self.config.gamma()).run_batch_with_index(
+                        &self.graph,
+                        index,
+                        queries,
+                        sink,
+                    ),
                 };
                 stats.add_stage(Stage::BuildIndex, prep_time);
                 stats
@@ -851,25 +828,23 @@ impl Engine {
             return EnumStats::new(0);
         }
         let order = self.config.algorithm().search_order();
-        let mode = self.config.expansion_mode();
         match self.config.algorithm() {
             // The real-time baseline: per-query index by definition, nothing cached; the
             // per-query index builds simply spread over the workers.
             Algorithm::PathEnum => {
-                run_pathenum_parallel(&self.graph, queries, order, mode, parallelism, sink)
+                run_pathenum_parallel(&self.graph, queries, order, parallelism, sink)
             }
             algorithm => {
                 let summary = BatchSummary::of(queries);
                 let prep_time = self.ensure_index(&summary);
                 let index = self.index.as_ref().expect("ensured above");
                 let mut stats = match algorithm {
-                    Algorithm::BasicEnum | Algorithm::BasicEnumPlus => {
-                        ParallelBasicEnum::new(order, parallelism)
-                            .with_mode(mode)
-                            .run_batch_with_index(&self.graph, index, queries, sink)
-                    }
+                    Algorithm::BasicEnum | Algorithm::BasicEnumPlus => ParallelBasicEnum::new(
+                        order,
+                        parallelism,
+                    )
+                    .run_batch_with_index(&self.graph, index, queries, sink),
                     _ => ParallelBatchEnum::new(order, self.config.gamma(), parallelism)
-                        .with_mode(mode)
                         .with_split_policy(self.parallel_split)
                         .run_batch_with_index(&self.graph, index, queries, sink),
                 };
@@ -972,11 +947,10 @@ impl Engine {
             };
         }
         let order = self.config.algorithm().search_order();
-        let mode = self.config.expansion_mode();
         match self.config.algorithm() {
             Algorithm::PathEnum => {
                 let (responses, stats) =
-                    run_specs_parallel_pathenum(&self.graph, specs, order, mode, parallelism);
+                    run_specs_parallel_pathenum(&self.graph, specs, order, parallelism);
                 SpecOutcome { responses, stats }
             }
             algorithm => {
@@ -995,7 +969,6 @@ impl Engine {
                     index,
                     &live,
                     order,
-                    mode,
                     self.config.gamma(),
                     shared,
                     if shared {
@@ -1055,35 +1028,6 @@ mod tests {
         assert_eq!(BatchEngine::builder().gamma(7.0).build().gamma(), 1.0);
         let default_engine = BatchEngine::default();
         assert_eq!(default_engine.algorithm(), Algorithm::BatchEnumPlus);
-        assert_eq!(default_engine.expansion_mode(), ExpansionMode::Frontier);
-        let recursive = BatchEngine::builder()
-            .expansion_mode(ExpansionMode::Recursive)
-            .build();
-        assert_eq!(recursive.expansion_mode(), ExpansionMode::Recursive);
-    }
-
-    #[test]
-    fn expansion_modes_are_byte_identical_for_every_algorithm() {
-        let g = grid(4, 4);
-        let queries = vec![
-            PathQuery::new(0u32, 15u32, 6),
-            PathQuery::new(1u32, 15u32, 6),
-            PathQuery::new(0u32, 11u32, 5),
-        ];
-        for algorithm in Algorithm::ALL {
-            let frontier = BatchEngine::builder().algorithm(algorithm).build();
-            let recursive = BatchEngine::builder()
-                .algorithm(algorithm)
-                .expansion_mode(ExpansionMode::Recursive)
-                .build();
-            let f = frontier.run(&g, &queries);
-            let r = recursive.run(&g, &queries);
-            assert_eq!(f.paths, r.paths, "{algorithm}: same paths, same order");
-            assert_eq!(
-                f.stats.counters, r.stats.counters,
-                "{algorithm}: same counters"
-            );
-        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use parallel::{ParallelBasicEnum, ParallelBatchEnum, Parallelism, SplitPolic
 pub use path::{Path, PathSet};
 pub use pathenum::PathEnum;
 pub use query::{BatchSummary, HcsQuery, PathQuery, QueryId};
-pub use search::{ExpansionMode, SearchContext};
+pub use search::SearchContext;
 pub use search_order::SearchOrder;
 pub use sink::{CallbackSink, CollectSink, ControlSink, CountSink, PathSink, SinkFlow};
 pub use spec::{QueryResponse, QuerySpec, ResultMode, SpecOutcome, SpecSink};

@@ -32,13 +32,11 @@
 //! workloads over astronomically large result sets prefer the sequential runner or
 //! smaller micro-batches.
 
-use crate::basic_enum::BasicEnum;
 use crate::batch_enum::BatchEnum;
 use crate::buffers::SearchBuffers;
 use crate::clustering::cluster_queries;
 use crate::pathenum::PathEnum;
 use crate::query::{BatchSummary, PathQuery, QueryId};
-use crate::search::ExpansionMode;
 use crate::search_order::SearchOrder;
 use crate::similarity::{QueryNeighborhood, SimilarityMatrix};
 use crate::sink::{CollectSink, PathSink, SinkFlow};
@@ -418,7 +416,6 @@ pub(crate) fn run_specs_parallel_pathenum(
     graph: &DiGraph,
     specs: &[QuerySpec],
     order: SearchOrder,
-    mode: ExpansionMode,
     parallelism: Parallelism,
 ) -> (Vec<QueryResponse>, EnumStats) {
     let mut stats = EnumStats::new(specs.len());
@@ -429,7 +426,7 @@ pub(crate) fn run_specs_parallel_pathenum(
     }
     let start = Instant::now();
     let clusters: Vec<Vec<QueryId>> = (0..specs.len()).map(|q| vec![q]).collect();
-    let per_query = PathEnum::new(order).with_mode(mode);
+    let per_query = PathEnum::new(order);
     let (results, num_shards) = execute_sharded_with(
         &clusters,
         parallelism.workers(),
@@ -476,7 +473,6 @@ pub(crate) fn run_specs_parallel_with_index(
     index: &BatchIndex,
     specs: &[QuerySpec],
     order: SearchOrder,
-    mode: ExpansionMode,
     gamma: f64,
     shared: bool,
     split: SplitPolicy,
@@ -499,8 +495,8 @@ pub(crate) fn run_specs_parallel_with_index(
     stats.add_stage(Stage::ClusterQuery, start.elapsed());
 
     let start = Instant::now();
-    let per_query = PathEnum::new(order).with_mode(mode);
-    let sequential = BatchEnum::new(order, 1.0).with_mode(mode);
+    let per_query = PathEnum::new(order);
+    let sequential = BatchEnum::new(order, 1.0);
     let (results, num_shards) = execute_sharded_with(
         &clusters,
         parallelism.workers(),
@@ -552,8 +548,6 @@ pub(crate) fn run_specs_parallel_with_index(
 pub struct ParallelBasicEnum {
     /// Neighbour expansion order for the per-query searches.
     pub order: SearchOrder,
-    /// Half-search expansion mechanics (frontier engine vs recursive oracle).
-    pub mode: ExpansionMode,
     /// Worker thread count.
     pub parallelism: Parallelism,
 }
@@ -562,7 +556,6 @@ impl Default for ParallelBasicEnum {
     fn default() -> Self {
         ParallelBasicEnum {
             order: SearchOrder::default(),
-            mode: ExpansionMode::default(),
             parallelism: Parallelism::Auto,
         }
     }
@@ -571,17 +564,7 @@ impl Default for ParallelBasicEnum {
 impl ParallelBasicEnum {
     /// Creates the runner with an explicit search order and worker count.
     pub fn new(order: SearchOrder, parallelism: Parallelism) -> Self {
-        ParallelBasicEnum {
-            order,
-            mode: ExpansionMode::default(),
-            parallelism,
-        }
-    }
-
-    /// Selects the half-search expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
+        ParallelBasicEnum { order, parallelism }
     }
 
     /// Processes the batch, streaming results (in query order) into `sink`.
@@ -627,7 +610,7 @@ impl ParallelBasicEnum {
         // Every query is its own "cluster": no sharing, maximal parallel slack.
         let start = Instant::now();
         let clusters: Vec<Vec<QueryId>> = (0..queries.len()).map(|q| vec![q]).collect();
-        let per_query = PathEnum::new(self.order).with_mode(self.mode);
+        let per_query = PathEnum::new(self.order);
         let (results, num_shards) =
             execute_sharded(&clusters, self.parallelism.workers(), |ci, local, buf| {
                 let mut cluster_stats = EnumStats::new(1);
@@ -659,7 +642,6 @@ pub(crate) fn run_pathenum_parallel<S: PathSink>(
     graph: &DiGraph,
     queries: &[PathQuery],
     order: SearchOrder,
-    mode: ExpansionMode,
     parallelism: Parallelism,
     sink: &mut S,
 ) -> EnumStats {
@@ -671,7 +653,7 @@ pub(crate) fn run_pathenum_parallel<S: PathSink>(
     }
     let start = Instant::now();
     let clusters: Vec<Vec<QueryId>> = (0..queries.len()).map(|q| vec![q]).collect();
-    let per_query = PathEnum::new(order).with_mode(mode);
+    let per_query = PathEnum::new(order);
     let (results, num_shards) =
         execute_sharded(&clusters, parallelism.workers(), |ci, local, buf| {
             let mut cluster_stats = EnumStats::new(1);
@@ -697,8 +679,6 @@ pub(crate) fn run_pathenum_parallel<S: PathSink>(
 pub struct ParallelBatchEnum {
     /// Neighbour expansion order.
     pub order: SearchOrder,
-    /// Half-search expansion mechanics (frontier engine vs recursive oracle).
-    pub mode: ExpansionMode,
     /// Clustering threshold γ.
     pub gamma: f64,
     /// Worker thread count.
@@ -718,7 +698,6 @@ impl Default for ParallelBatchEnum {
     fn default() -> Self {
         ParallelBatchEnum {
             order: SearchOrder::default(),
-            mode: ExpansionMode::default(),
             gamma: crate::batch_enum::DEFAULT_GAMMA,
             parallelism: Parallelism::Auto,
             split: SplitPolicy::Never,
@@ -731,17 +710,10 @@ impl ParallelBatchEnum {
     pub fn new(order: SearchOrder, gamma: f64, parallelism: Parallelism) -> Self {
         ParallelBatchEnum {
             order,
-            mode: ExpansionMode::default(),
             gamma,
             parallelism,
             split: SplitPolicy::Never,
         }
-    }
-
-    /// Selects the half-search expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Returns the runner with the given intra-cluster split policy.
@@ -815,7 +787,7 @@ impl ParallelBatchEnum {
         // worker keeps the cluster as a single group (it has already been formed by the
         // outer clustering) without re-clustering cost.
         let start = Instant::now();
-        let sequential = BatchEnum::new(self.order, 1.0).with_mode(self.mode);
+        let sequential = BatchEnum::new(self.order, 1.0);
         let (results, num_shards) =
             execute_sharded(&clusters, self.parallelism.workers(), |ci, local, buf| {
                 let cluster_queries_list: Vec<PathQuery> =
@@ -846,60 +818,6 @@ impl BatchEnum {
         let cluster: Vec<QueryId> = (0..queries.len()).collect();
         self.process_cluster(graph, index, queries, &cluster, sink, &mut stats, buffers);
         stats
-    }
-}
-
-/// Convenience comparison record used by the parallelism ablation: the same batch timed
-/// sequentially and with a given worker count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParallelComparison {
-    /// Wall-clock seconds of the sequential run.
-    pub sequential_seconds: f64,
-    /// Wall-clock seconds of the parallel run.
-    pub parallel_seconds: f64,
-    /// Number of worker threads used by the parallel run.
-    pub workers: usize,
-}
-
-impl ParallelComparison {
-    /// Observed speed-up (sequential / parallel).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_seconds <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.sequential_seconds / self.parallel_seconds
-    }
-}
-
-/// Times `BasicEnum` sequentially vs [`ParallelBasicEnum`] with `workers` threads on the
-/// same batch (results are counted, not collected).
-pub fn compare_parallel_basic(
-    graph: &DiGraph,
-    queries: &[PathQuery],
-    order: SearchOrder,
-    workers: usize,
-) -> ParallelComparison {
-    use crate::sink::CountSink;
-
-    let start = Instant::now();
-    let mut sequential_sink = CountSink::new(queries.len());
-    BasicEnum::new(order).run_batch(graph, queries, &mut sequential_sink);
-    let sequential_seconds = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let mut parallel_sink = CountSink::new(queries.len());
-    ParallelBasicEnum::new(order, Parallelism::Fixed(workers)).run_batch(
-        graph,
-        queries,
-        &mut parallel_sink,
-    );
-    let parallel_seconds = start.elapsed().as_secs_f64();
-
-    debug_assert_eq!(sequential_sink.counts(), parallel_sink.counts());
-    ParallelComparison {
-        sequential_seconds,
-        parallel_seconds,
-        workers,
     }
 }
 
@@ -1196,19 +1114,5 @@ mod tests {
         assert_eq!(Parallelism::Fixed(0).workers(), 1);
         assert!(Parallelism::Auto.workers() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::Auto);
-    }
-
-    #[test]
-    fn comparison_reports_consistent_numbers() {
-        let g = grid(4, 4);
-        let queries = vec![
-            PathQuery::new(0u32, 15u32, 6),
-            PathQuery::new(1u32, 15u32, 6),
-        ];
-        let cmp = compare_parallel_basic(&g, &queries, SearchOrder::VertexId, 2);
-        assert_eq!(cmp.workers, 2);
-        assert!(cmp.sequential_seconds >= 0.0);
-        assert!(cmp.parallel_seconds >= 0.0);
-        assert!(cmp.speedup() > 0.0);
     }
 }

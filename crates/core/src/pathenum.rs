@@ -20,7 +20,7 @@
 use crate::buffers::SearchBuffers;
 use crate::concat::{concatenate_scratch, join_prefix, prepare_suffixes, JoinStats};
 use crate::query::{PathQuery, QueryId};
-use crate::search::{ExpansionMode, SearchContext};
+use crate::search::SearchContext;
 use crate::search_order::SearchOrder;
 use crate::sink::{PathSink, SinkFlow};
 use crate::stats::{EnumStats, SearchCounters, Stage};
@@ -33,23 +33,12 @@ use std::time::Instant;
 pub struct PathEnum {
     /// Neighbour expansion order (the "+" variants use [`SearchOrder::DistanceThenDegree`]).
     pub order: SearchOrder,
-    /// Half-search expansion mechanics (frontier engine vs recursive oracle).
-    pub mode: ExpansionMode,
 }
 
 impl PathEnum {
-    /// Creates the algorithm with the given search order and the default expansion mode.
+    /// Creates the algorithm with the given search order.
     pub fn new(order: SearchOrder) -> Self {
-        PathEnum {
-            order,
-            mode: ExpansionMode::default(),
-        }
-    }
-
-    /// Selects the half-search expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
+        PathEnum { order }
     }
 
     /// Processes one query in isolation: builds the per-query index and enumerates.
@@ -143,7 +132,7 @@ impl PathEnum {
     ) -> SinkFlow {
         let start = Instant::now();
         let mut counters = SearchCounters::default();
-        let ctx = SearchContext::new(graph, index, self.order).with_mode(self.mode);
+        let ctx = SearchContext::new(graph, index, self.order);
         // The half-search result sets live in the buffers too; take them out for the
         // duration of the run so the DFS can borrow `buffers` mutably alongside them.
         let mut forward = std::mem::take(&mut buffers.forward);
@@ -198,7 +187,7 @@ impl PathEnum {
     ) -> SinkFlow {
         let start = Instant::now();
         let mut counters = SearchCounters::default();
-        let ctx = SearchContext::new(graph, index, self.order).with_mode(self.mode);
+        let ctx = SearchContext::new(graph, index, self.order);
         let mut backward = std::mem::take(&mut buffers.backward);
         ctx.enumerate_half_into(
             query,

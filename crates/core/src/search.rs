@@ -14,40 +14,6 @@ use crate::sink::SinkFlow;
 use crate::stats::SearchCounters;
 use hcsp_graph::{DiGraph, Direction, VertexId};
 use hcsp_index::{AnchorDistances, BatchIndex};
-use serde::{Deserialize, Serialize};
-
-/// How the half search walks the prefix tree.
-///
-/// Both modes visit exactly the same prefixes in exactly the same order with exactly the
-/// same counter increments — they are byte-identical by contract (pinned by
-/// `tests/prop_frontier.rs`). They differ only in mechanics and therefore speed:
-///
-/// * [`ExpansionMode::Recursive`] — the original one-vertex-at-a-time DFS; one call frame
-///   per open level, per-edge anchor lookup through the index root table, per-expansion
-///   sort-key derivation. Kept as the oracle the frontier engine is validated against.
-/// * [`ExpansionMode::Frontier`] — iterative batch-DFS over flat level runs in the
-///   candidate arena: the anchor's distance map is resolved once per traversal, a whole
-///   adjacency segment is filtered in one contiguous pass (zipping the CSR neighbour
-///   slice with its inline degree array), and the `DistanceThenDegree` sort key is taken
-///   from that pass instead of re-derived per candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum ExpansionMode {
-    /// Recursive one-vertex-at-a-time DFS (the validation oracle).
-    Recursive,
-    /// Iterative frontier-at-a-time expansion over the flat candidate arena.
-    #[default]
-    Frontier,
-}
-
-impl ExpansionMode {
-    /// Human-readable label used by experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExpansionMode::Recursive => "recursive",
-            ExpansionMode::Frontier => "frontier",
-        }
-    }
-}
 
 /// Shared, immutable context of one half search.
 pub struct SearchContext<'a> {
@@ -57,42 +23,16 @@ pub struct SearchContext<'a> {
     pub index: &'a BatchIndex,
     /// Neighbour expansion order (plain vs "+" variants).
     pub order: SearchOrder,
-    /// Prefix-tree walking mechanics (recursive oracle vs frontier engine).
-    pub mode: ExpansionMode,
 }
 
 impl<'a> SearchContext<'a> {
-    /// Creates a context with the default [`ExpansionMode`].
+    /// Creates a context.
     pub fn new(graph: &'a DiGraph, index: &'a BatchIndex, order: SearchOrder) -> Self {
         SearchContext {
             graph,
             index,
             order,
-            mode: ExpansionMode::default(),
         }
-    }
-
-    /// Selects the expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Enumerates every simple prefix of the half search of `query` in direction `dir`
-    /// and stores it (all lengths `0..=budget`) into the returned [`PathSet`].
-    ///
-    /// Convenience wrapper around [`SearchContext::enumerate_half_into`] that pays for a
-    /// transient [`SearchBuffers`] per call; batch runners reuse one buffer set instead.
-    pub fn enumerate_half(
-        &self,
-        query: &PathQuery,
-        dir: Direction,
-        counters: &mut SearchCounters,
-    ) -> PathSet {
-        let mut buffers = SearchBuffers::new();
-        let mut prefixes = PathSet::new();
-        self.enumerate_half_into(query, dir, counters, &mut buffers, &mut prefixes);
-        prefixes
     }
 
     /// Enumerates every simple prefix of the half search of `query` in direction `dir`
@@ -100,9 +40,8 @@ impl<'a> SearchContext<'a> {
     ///
     /// This is `Search(G, P_f, q.s, q.t, ⌈q.k/2⌉)` / `Search(G^r, P_b, q.t, q.s, ⌊q.k/2⌋)`
     /// of Algorithm 1, with the pruning test applied against the full hop constraint
-    /// `q.k` exactly as in Example 3.1. The enumerated prefix set and its order are
-    /// identical to [`SearchContext::enumerate_half`]; only the allocation behaviour
-    /// differs (prefix stack, visited marks and candidate arena are reused).
+    /// `q.k` exactly as in Example 3.1. The prefix stack, visited marks and candidate
+    /// arena come from `buffers`, so a batch runner pays for them once.
     pub fn enumerate_half_into(
         &self,
         query: &PathQuery,
@@ -130,6 +69,10 @@ impl<'a> SearchContext<'a> {
     /// the `Exists` / `FirstK` result modes: the prefix set is never materialised, and
     /// the search stops the instant the downstream sink is satisfied).
     ///
+    /// Emission order (the contract parallel runs and result modes are defined against):
+    /// DFS; candidates of a level in CSR vertex-id order for [`SearchOrder::VertexId`], in
+    /// `(dist-to-anchor, degree, vertex)` order for [`SearchOrder::DistanceThenDegree`].
+    ///
     /// Returns the verdict that aborted the search, or `Continue` when it was exhausted.
     /// Counters count the visited portion only, so early-terminated runs report their
     /// genuinely smaller search effort.
@@ -151,103 +94,21 @@ impl<'a> SearchContext<'a> {
         buffers.begin_traversal(self.graph);
         buffers.stack.push(root);
         buffers.marks.mark(root);
-        match self.mode {
-            ExpansionMode::Recursive => self.extend_prefix(
-                buffers, dir, anchor, budget, hop_limit, &mut visit, counters,
-            ),
-            ExpansionMode::Frontier => self.extend_frontier(
-                buffers, dir, anchor, budget, hop_limit, &mut visit, counters,
-            ),
-        }
+        self.extend_frontier(
+            buffers, dir, anchor, budget, hop_limit, &mut visit, counters,
+        )
     }
 
-    /// Recursive prefix extension. `buffers.stack` holds the current prefix (root first),
-    /// mirrored by `buffers.marks`; each open level occupies one range of the shared
-    /// candidate arena. A non-`Continue` verdict from `visit` unwinds the recursion
-    /// immediately (the arena is not repaired level by level on that path —
-    /// [`SearchBuffers::begin_traversal`](crate::buffers::SearchBuffers) resets it before
-    /// the next traversal).
-    #[allow(clippy::too_many_arguments)]
-    fn extend_prefix<F>(
-        &self,
-        buffers: &mut SearchBuffers,
-        dir: Direction,
-        anchor: VertexId,
-        budget: u32,
-        hop_limit: u32,
-        visit: &mut F,
-        counters: &mut SearchCounters,
-    ) -> SinkFlow
-    where
-        F: FnMut(&[VertexId]) -> SinkFlow,
-    {
-        counters.expanded_vertices += 1;
-        let flow = visit(&buffers.stack);
-        if !flow.is_continue() {
-            return flow;
-        }
-
-        let current_hops = (buffers.stack.len() - 1) as u32;
-        if current_hops >= budget {
-            return SinkFlow::Continue;
-        }
-        // lint:allow(panic-free-hot-path) the stack always holds at least the traversal root
-        let last = *buffers.stack.last().expect("prefix is never empty");
-        let level_start = buffers.candidates.len();
-        // CSR neighbour slices are consumed directly; surviving candidates land in this
-        // level's arena range.
-        for &w in self.graph.neighbors(last, dir) {
-            counters.scanned_edges += 1;
-            let new_len = current_hops + 1;
-            let remaining = self.index.dist_towards(dir, w, anchor);
-            // Lemma 3.1: the prefix must still be completable within the hop limit.
-            if remaining == hcsp_index::INF || new_len.saturating_add(remaining) > hop_limit {
-                counters.pruned_edges += 1;
-                continue;
-            }
-            if buffers.marks.contains(w) {
-                continue;
-            }
-            buffers.candidates.push(w);
-        }
-        self.order.arrange(
-            // lint:allow(panic-free-hot-path) level_start was candidates.len() above; only pushes since
-            &mut buffers.candidates[level_start..],
-            self.graph,
-            self.index,
-            anchor,
-            dir,
-        );
-        let level_end = buffers.candidates.len();
-        for i in level_start..level_end {
-            // Deeper levels only append past `level_end` and truncate back, so this
-            // level's range stays valid across the recursion.
-            // lint:allow(panic-free-hot-path) i < level_end <= candidates.len() per the invariant above
-            let w = buffers.candidates[i];
-            buffers.stack.push(w);
-            buffers.marks.mark(w);
-            let flow = self.extend_prefix(buffers, dir, anchor, budget, hop_limit, visit, counters);
-            buffers.marks.unmark(w);
-            buffers.stack.pop();
-            if !flow.is_continue() {
-                return flow;
-            }
-        }
-        buffers.candidates.truncate(level_start);
-        SinkFlow::Continue
-    }
-
-    /// Iterative frontier-at-a-time prefix extension: the explicit-stack form of
-    /// [`SearchContext::extend_prefix`], byte-identical in visit order and counters.
+    /// Iterative frontier-at-a-time prefix extension. `buffers.stack` holds the current
+    /// prefix (root first), mirrored by `buffers.marks`.
     ///
-    /// `buffers.levels` replaces the recursion stack: each [`LevelRun`] owns one
-    /// contiguous candidate range of the arena, descending pushes a run, and exhausting
-    /// one truncates the arena back and backtracks the prefix. The anchor's sparse
-    /// distance map is resolved *once* here and probed directly inside the fill pass, so
-    /// the per-edge cost is a map probe plus two sequential array reads (CSR targets +
-    /// inline degrees) instead of a root binary search and an offset gather. A
-    /// non-`Continue` verdict from `visit` returns immediately; like the recursive
-    /// engine, the arena and level stack are left dirty and repaired by the next
+    /// `buffers.levels` is the explicit DFS stack: each [`LevelRun`] owns one contiguous
+    /// candidate range of the arena, descending pushes a run, and exhausting one
+    /// truncates the arena back and backtracks the prefix. The anchor's sparse distance
+    /// map is resolved *once* here and probed directly inside the fill pass, so the
+    /// per-edge cost is a map probe plus two sequential array reads (CSR targets + inline
+    /// degrees). A non-`Continue` verdict from `visit` returns immediately; the arena and
+    /// level stack are left dirty and repaired by the next
     /// [`SearchBuffers::begin_traversal`](crate::buffers::SearchBuffers).
     #[allow(clippy::too_many_arguments)]
     fn extend_frontier<F>(
@@ -328,8 +189,7 @@ impl<'a> SearchContext<'a> {
     /// The CSR neighbour slice and its parallel inline-degree slice are consumed as one
     /// zipped sequential stream; the `(remaining, degree)` pair of every survivor is
     /// recorded in `cand_keys` so the `DistanceThenDegree` arrangement sorts precomputed
-    /// keys instead of re-deriving them per candidate. The `(dist, degree, vertex)`
-    /// triple sort reproduces the recursive `SearchOrder::arrange` total order exactly.
+    /// `(dist, degree, vertex)` triples instead of re-deriving them per candidate.
     fn fill_level(
         &self,
         buffers: &mut SearchBuffers,
@@ -383,6 +243,26 @@ mod tests {
 
     fn index_for(graph: &DiGraph, q: &PathQuery) -> BatchIndex {
         BatchIndex::build(graph, &[q.source], &[q.target], q.hop_limit)
+    }
+
+    impl SearchContext<'_> {
+        /// [`SearchContext::enumerate_half_into`] with transient buffers.
+        fn enumerate_half(
+            &self,
+            query: &PathQuery,
+            dir: Direction,
+            counters: &mut SearchCounters,
+        ) -> PathSet {
+            let mut prefixes = PathSet::new();
+            self.enumerate_half_into(
+                query,
+                dir,
+                counters,
+                &mut SearchBuffers::new(),
+                &mut prefixes,
+            );
+            prefixes
+        }
     }
 
     #[test]
@@ -572,83 +452,5 @@ mod tests {
         let prefixes = ctx.enumerate_half(&q, Direction::Backward, &mut counters);
         assert_eq!(prefixes.len(), 1);
         assert_eq!(prefixes.get(0), &[v(1)]);
-    }
-
-    #[test]
-    fn frontier_matches_recursive_byte_for_byte() {
-        // Same prefixes, same order, same counters — across graph shapes, hop limits,
-        // both search orders and both directions.
-        let cases: Vec<(DiGraph, PathQuery)> = vec![
-            (grid(4, 4), PathQuery::new(0u32, 15u32, 8)),
-            (complete(5), PathQuery::new(0u32, 1u32, 4)),
-            (layered_dag(3, 3), PathQuery::new(0u32, 9u32, 5)),
-            (path(6), PathQuery::new(0u32, 5u32, 5)),
-            (path(3), PathQuery::new(0u32, 1u32, 1)), // zero backward budget
-        ];
-        for (g, q) in &cases {
-            let index = index_for(g, q);
-            for order in [SearchOrder::VertexId, SearchOrder::DistanceThenDegree] {
-                for dir in [Direction::Forward, Direction::Backward] {
-                    let mut c_rec = SearchCounters::default();
-                    let mut c_fro = SearchCounters::default();
-                    let recursive = SearchContext::new(g, &index, order)
-                        .with_mode(ExpansionMode::Recursive)
-                        .enumerate_half(q, dir, &mut c_rec);
-                    let frontier = SearchContext::new(g, &index, order)
-                        .with_mode(ExpansionMode::Frontier)
-                        .enumerate_half(q, dir, &mut c_fro);
-                    assert_eq!(frontier, recursive, "query {q} order {order:?} dir {dir:?}");
-                    assert_eq!(c_fro, c_rec, "query {q} order {order:?} dir {dir:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_abort_matches_recursive_abort() {
-        // Aborting after N visited prefixes must observe the same prefixes, the same
-        // verdict and the same (smaller) counters in both modes, at every N.
-        let g = complete(5);
-        let q = PathQuery::new(0u32, 1u32, 4);
-        let index = index_for(&g, &q);
-        let total = {
-            let mut c = SearchCounters::default();
-            SearchContext::new(&g, &index, SearchOrder::VertexId)
-                .enumerate_half(&q, Direction::Forward, &mut c)
-                .len()
-        };
-        for stop_after in 1..=total {
-            let mut runs = Vec::new();
-            for mode in [ExpansionMode::Recursive, ExpansionMode::Frontier] {
-                let ctx = SearchContext::new(&g, &index, SearchOrder::VertexId).with_mode(mode);
-                let mut buffers = crate::buffers::SearchBuffers::for_graph(&g);
-                let mut counters = SearchCounters::default();
-                let mut seen: Vec<Vec<VertexId>> = Vec::new();
-                let flow = ctx.enumerate_half_with(
-                    &q,
-                    Direction::Forward,
-                    &mut counters,
-                    &mut buffers,
-                    |p| {
-                        seen.push(p.to_vec());
-                        if seen.len() == stop_after {
-                            SinkFlow::Stop
-                        } else {
-                            SinkFlow::Continue
-                        }
-                    },
-                );
-                assert_eq!(flow, SinkFlow::Stop);
-                runs.push((seen, counters));
-            }
-            assert_eq!(runs[0], runs[1], "abort after {stop_after} prefixes");
-        }
-    }
-
-    #[test]
-    fn expansion_mode_labels_and_default() {
-        assert_eq!(ExpansionMode::Recursive.label(), "recursive");
-        assert_eq!(ExpansionMode::Frontier.label(), "frontier");
-        assert_eq!(ExpansionMode::default(), ExpansionMode::Frontier);
     }
 }

@@ -8,8 +8,6 @@
 //! identical for both orders — only the traversal order, and therefore the running time,
 //! differs.
 
-use hcsp_graph::{DiGraph, Direction, VertexId};
-use hcsp_index::BatchIndex;
 use serde::{Deserialize, Serialize};
 
 /// Which order neighbours are expanded in during the half searches.
@@ -24,39 +22,6 @@ pub enum SearchOrder {
 }
 
 impl SearchOrder {
-    /// Orders `candidates` in place according to this policy.
-    ///
-    /// `anchor` is the vertex the search is heading towards (the query target for a
-    /// forward search, the source for a backward search); `dir` is the search direction.
-    pub fn arrange(
-        self,
-        candidates: &mut [VertexId],
-        graph: &DiGraph,
-        index: &BatchIndex,
-        anchor: VertexId,
-        dir: Direction,
-    ) {
-        match self {
-            SearchOrder::VertexId => {
-                // CSR neighbour lists are already sorted by id; nothing to do.
-            }
-            SearchOrder::DistanceThenDegree => {
-                // Unstable sort: this runs once per expanded vertex in the enumeration
-                // hot path, and a stable sort would allocate its merge buffer every call
-                // (defeating the buffer-reuse design of `SearchBuffers`). Safe because
-                // the key ends in `w.raw()`, a total order over the candidates — equal
-                // keys cannot occur, so stability is irrelevant to the output.
-                candidates.sort_unstable_by_key(|&w| {
-                    (
-                        index.dist_towards(dir, w, anchor),
-                        graph.degree(w, dir) as u32,
-                        w.raw(),
-                    )
-                });
-            }
-        }
-    }
-
     /// Human-readable suffix used by experiment output ("" or "+").
     pub fn suffix(self) -> &'static str {
         match self {
@@ -69,89 +34,6 @@ impl SearchOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcsp_graph::generators::regular::grid;
-
-    #[test]
-    fn vertex_id_order_is_noop() {
-        let g = grid(3, 3);
-        let index = BatchIndex::build(&g, &[VertexId(0)], &[VertexId(8)], 6);
-        let mut c = vec![VertexId(1), VertexId(3)];
-        SearchOrder::VertexId.arrange(&mut c, &g, &index, VertexId(8), Direction::Forward);
-        assert_eq!(c, vec![VertexId(1), VertexId(3)]);
-    }
-
-    #[test]
-    fn optimized_order_prefers_vertices_closer_to_anchor() {
-        // Grid 3x3: vertex 8 is the bottom-right corner. From vertex 0 the neighbours are
-        // 1 (dist to 8 = 3) and 3 (dist to 8 = 3); extend candidate list with vertex 5
-        // (dist 1) and 7 (dist 1, same degree class) to exercise ordering.
-        let g = grid(3, 3);
-        let index = BatchIndex::build(&g, &[VertexId(0)], &[VertexId(8)], 6);
-        let mut c = vec![VertexId(1), VertexId(5), VertexId(3), VertexId(7)];
-        SearchOrder::DistanceThenDegree.arrange(
-            &mut c,
-            &g,
-            &index,
-            VertexId(8),
-            Direction::Forward,
-        );
-        let dist: Vec<u32> = c
-            .iter()
-            .map(|&w| index.dist_to_target(w, VertexId(8)))
-            .collect();
-        assert!(
-            dist.windows(2).all(|w| w[0] <= w[1]),
-            "distances not ascending: {dist:?}"
-        );
-    }
-
-    #[test]
-    fn unreachable_vertices_sort_last() {
-        let g = grid(3, 3);
-        // Vertex 0 is unreachable *towards* (nothing reaches 0 except itself in this DAG
-        // when anchoring at 0 with forward direction distances computed towards 8).
-        let index = BatchIndex::build(&g, &[VertexId(0)], &[VertexId(8)], 6);
-        let mut c = vec![VertexId(8), VertexId(0)];
-        // dist(8 -> 8) = 0, dist(0 -> 8) = 4, so 8 first.
-        SearchOrder::DistanceThenDegree.arrange(
-            &mut c,
-            &g,
-            &index,
-            VertexId(8),
-            Direction::Forward,
-        );
-        assert_eq!(c[0], VertexId(8));
-    }
-
-    #[test]
-    fn unstable_sort_produces_the_stable_sort_order() {
-        // The arrangement key ends in the vertex id, so it is a total order and the
-        // unstable sort must produce exactly what a stable sort would — including among
-        // vertices tied on (distance, degree). A grid gives plenty of such ties.
-        let g = grid(4, 4);
-        let anchor = VertexId(15);
-        let index = BatchIndex::build(&g, &[VertexId(0)], &[anchor], 8);
-        // Every vertex, duplicated and reversed: ties and equal elements abound.
-        let mut candidates: Vec<VertexId> = (0..16).rev().map(VertexId).collect();
-        candidates.extend((0..16).map(VertexId));
-
-        let mut stable = candidates.clone();
-        stable.sort_by_key(|&w| {
-            (
-                index.dist_towards(Direction::Forward, w, anchor),
-                g.degree(w, Direction::Forward) as u32,
-                w.raw(),
-            )
-        });
-        SearchOrder::DistanceThenDegree.arrange(
-            &mut candidates,
-            &g,
-            &index,
-            anchor,
-            Direction::Forward,
-        );
-        assert_eq!(candidates, stable);
-    }
 
     #[test]
     fn suffixes() {

@@ -47,7 +47,7 @@ impl fmt::Display for Stage {
 /// Low-level traversal counters accumulated during the half searches and joins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchCounters {
-    /// Vertices expanded (recursion entries) during the DFS half searches.
+    /// Vertices expanded (one per visited prefix) during the DFS half searches.
     pub expanded_vertices: u64,
     /// Edges examined while expanding.
     pub scanned_edges: u64,

@@ -368,8 +368,7 @@ pub struct AnchorDistances<'a> {
 
 impl AnchorDistances<'_> {
     /// Bounded distance between `v` and the pre-resolved anchor (`INF` when out of range
-    /// or the anchor is not indexed). Equals `dist_towards(dir, v, anchor)` for the
-    /// `(dir, anchor)` pair the view was created with.
+    /// or the anchor is not indexed).
     #[inline]
     pub fn dist(&self, v: VertexId) -> u32 {
         self.map.map_or(INF, |m| m.distance_or_inf(v))
@@ -417,19 +416,9 @@ impl BatchIndex {
         self.targets.distance(t, v)
     }
 
-    /// Distance towards the query "anchor" in the given search direction: a forward search
-    /// towards target `anchor` uses `dist_G(v, anchor)`, a backward search towards source
-    /// `anchor` uses `dist_G(anchor, v)`.
-    #[inline]
-    pub fn dist_towards(&self, dir: Direction, v: VertexId, anchor: VertexId) -> u32 {
-        match dir {
-            Direction::Forward => self.dist_to_target(v, anchor),
-            Direction::Backward => self.dist_from_source(anchor, v),
-        }
-    }
-
-    /// Pre-resolves the distance map consulted by [`BatchIndex::dist_towards`] for one
-    /// `(direction, anchor)` pair.
+    /// Pre-resolves the distance map towards the query "anchor" of one search direction:
+    /// a forward search towards target `anchor` reads `dist_G(v, anchor)`, a backward
+    /// search towards source `anchor` reads `dist_G(anchor, v)`.
     ///
     /// A half search queries the *same* anchor for every scanned edge; resolving the
     /// anchor's sparse map once per traversal replaces the per-edge root binary search
@@ -606,21 +595,17 @@ mod tests {
     }
 
     #[test]
-    fn dist_towards_selects_the_right_side() {
-        let g = path(5);
-        let index = BatchIndex::build(&g, &[v(0)], &[v(4)], 10);
-        assert_eq!(index.dist_towards(Direction::Forward, v(1), v(4)), 3);
-        assert_eq!(index.dist_towards(Direction::Backward, v(1), v(0)), 1);
-    }
-
-    #[test]
-    fn anchor_view_matches_dist_towards() {
+    fn anchor_view_selects_the_right_side() {
         let g = grid(4, 4);
         let index = BatchIndex::build(&g, &[v(0)], &[v(15)], 6);
         for (dir, anchor) in [(Direction::Forward, v(15)), (Direction::Backward, v(0))] {
             let view = index.anchor_view(dir, anchor);
             for vertex in g.vertices() {
-                assert_eq!(view.dist(vertex), index.dist_towards(dir, vertex, anchor));
+                let expected = match dir {
+                    Direction::Forward => index.dist_to_target(vertex, anchor),
+                    Direction::Backward => index.dist_from_source(anchor, vertex),
+                };
+                assert_eq!(view.dist(vertex), expected);
             }
         }
         // An unindexed anchor resolves to the always-INF view.

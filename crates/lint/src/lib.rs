@@ -263,14 +263,14 @@ fn g(v: &[u32]) -> u32 {
     #[test]
     fn diagnostics_render_with_code_and_rule() {
         let d = Diagnostic {
-            rule: rules::NO_DEPRECATED_INTERNAL,
+            rule: rules::DEAD_COUNTER,
             path: "crates/x/src/lib.rs".into(),
             line: 7,
             message: "nope".into(),
         };
         assert_eq!(
             d.to_string(),
-            "crates/x/src/lib.rs:7: [L6/no-deprecated-internal] nope"
+            "crates/x/src/lib.rs:7: [L5/dead-counter] nope"
         );
     }
 }

@@ -4,9 +4,8 @@
 //! driver in `lib.rs` applies `// lint:allow` suppression afterwards, so the
 //! rules themselves stay oblivious to annotations. Single-file rules decide
 //! their own applicability from the (workspace-relative, `/`-separated) path;
-//! [`dead_counter`] is the one whole-workspace rule.
+//! [`counters`] (`dead-counter`) is the one whole-workspace rule.
 
-pub mod deprecated;
 pub mod durability;
 pub mod guard;
 pub mod panic_free;
@@ -22,12 +21,11 @@ pub const UNSAFE_WINDOW: &str = "unsafe-window";
 pub const ACK_AFTER_DURABILITY: &str = "ack-after-durability";
 pub const PANIC_FREE_HOT_PATH: &str = "panic-free-hot-path";
 pub const DEAD_COUNTER: &str = "dead-counter";
-pub const NO_DEPRECATED_INTERNAL: &str = "no-deprecated-internal";
 /// Pseudo-rule for malformed `lint:allow` comments (never suppressible).
 pub const ALLOW_SYNTAX: &str = "allow-syntax";
 
 /// Every real rule id, short code first: `(code, id, summary)`.
-pub const CATALOGUE: [(&str, &str, &str); 6] = [
+pub const CATALOGUE: [(&str, &str, &str); 5] = [
     (
         "L1",
         BLOCKING_UNDER_GUARD,
@@ -53,14 +51,9 @@ pub const CATALOGUE: [(&str, &str, &str); 6] = [
         DEAD_COUNTER,
         "every stats counter is written in core/service and read by bench/report",
     ),
-    (
-        "L6",
-        NO_DEPRECATED_INTERNAL,
-        "no internal callers of the deprecated start_durable/start_durable_vfs shims",
-    ),
 ];
 
-/// The short code (`L1`..`L6`) for a rule id, for diagnostic rendering.
+/// The short code (`L1`..`L5`) for a rule id, for diagnostic rendering.
 pub fn code_of(rule: &str) -> &'static str {
     for (code, id, _) in CATALOGUE {
         if id == rule {
@@ -84,7 +77,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Diagnostic> {
         out.extend(window::check(file));
         out.extend(durability::check(file));
         out.extend(panic_free::check(file));
-        out.extend(deprecated::check(file));
     }
     out.extend(counters::check(files));
     out

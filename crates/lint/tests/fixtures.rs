@@ -18,10 +18,6 @@ const SINGLE_FILE_RULES: &[(&str, &str)] = &[
     (rules::UNSAFE_WINDOW, "crates/core/src/engine_fixture.rs"),
     (rules::ACK_AFTER_DURABILITY, "crates/storage/src/fixture.rs"),
     (rules::PANIC_FREE_HOT_PATH, "crates/core/src/search.rs"),
-    (
-        rules::NO_DEPRECATED_INTERNAL,
-        "crates/service/src/fixture.rs",
-    ),
     (rules::ALLOW_SYNTAX, "crates/core/src/search.rs"),
 ];
 

@@ -403,10 +403,12 @@ impl Response {
                 let mut paths = Vec::new();
                 for _ in 0..num_paths {
                     let len = read_u32_prefix(&mut cursor, "path length")? as usize;
-                    if cursor.len() < len * 4 {
-                        return Err(FrameError::Malformed("path vertices truncated"));
-                    }
-                    let (raw, rest) = cursor.split_at(len * 4);
+                    // `len` is wire-supplied: on a 32-bit target `len * 4` can wrap.
+                    let byte_len = len
+                        .checked_mul(4)
+                        .filter(|&n| n <= cursor.len())
+                        .ok_or(FrameError::Malformed("path vertices truncated"))?;
+                    let (raw, rest) = cursor.split_at(byte_len);
                     cursor = rest;
                     paths.push(
                         raw.chunks_exact(4)
@@ -575,6 +577,23 @@ mod tests {
             read_frame(&mut &stream[..], MAX_FRAME_LEN),
             Err(FrameError::TooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn path_chunks_declaring_more_vertices_than_follow_are_malformed() {
+        // One path whose declared length exceeds the 8 bytes (two vertices) that follow;
+        // 0x4000_0001 is the length whose `* 4` wraps to 4 on a 32-bit target.
+        for declared in [3u32, 0x4000_0001] {
+            let mut payload = vec![KIND_PATH_CHUNK];
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            payload.extend_from_slice(&declared.to_le_bytes());
+            payload.extend_from_slice(&[0u8; 8]);
+            assert!(matches!(
+                Response::decode(&payload),
+                Err(FrameError::Malformed("path vertices truncated"))
+            ));
+        }
     }
 
     #[test]

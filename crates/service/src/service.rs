@@ -130,42 +130,54 @@ pub struct QueryResult {
     pub batch_size: usize,
 }
 
-/// Lifecycle of a result slot.
+/// Lifecycle of a one-shot slot.
 #[derive(Debug, Default)]
-enum SlotState {
-    /// The query is queued or executing.
+enum SlotState<T> {
+    /// The request is queued, executing or being published.
     #[default]
     Pending,
-    /// The result is available.
-    Ready(SpecResult),
-    /// The query will never be answered (its worker panicked mid-batch).
+    /// The value is available.
+    Ready(T),
+    /// The request will never be answered (worker panic mid-batch, or an internal
+    /// failure while publishing an update).
     Abandoned,
 }
 
-/// One-shot result slot shared between a worker and a [`SpecHandle`].
-#[derive(Debug, Default)]
-struct ResultSlot {
-    state: Mutex<SlotState>,
+/// One-shot slot shared between the side that produces a value (a worker, the publish
+/// path) and the [`Handle`] that claims it.
+#[derive(Debug)]
+struct Slot<T> {
+    state: Mutex<SlotState<T>>,
     ready: Condvar,
 }
 
-impl ResultSlot {
-    /// Delivers the result. A slot is one-shot: fulfilling it twice (or after an
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot {
+            state: Mutex::new(SlotState::Pending),
+            ready: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Slot<T> {
+    /// Delivers the value. A slot is one-shot: fulfilling it twice (or after an
     /// abandonment) is an invariant violation — the duplicate would silently overwrite
-    /// an answer a waiter may already have consumed — so it debug-panics and is logged
-    /// (and dropped) in release builds.
-    fn fulfill(&self, result: SpecResult) {
+    /// an answer a waiter may already have consumed, and swallowing it hides
+    /// double-dispatch bugs — so it debug-panics and is logged (and dropped) in release
+    /// builds.
+    fn fulfill(&self, value: T) {
         let mut state = self.state.lock().unwrap();
         if !matches!(*state, SlotState::Pending) {
             drop(state);
             debug_assert!(
                 false,
-                "ResultSlot fulfilled twice: one-shot slots take exactly one result"
+                "slot fulfilled twice: one-shot slots take exactly one value"
             );
-            eprintln!("hcsp-service: ResultSlot fulfilled twice; dropping the duplicate result");
+            eprintln!("hcsp-service: slot fulfilled twice; dropping the duplicate value");
             return;
         }
-        *state = SlotState::Ready(result);
+        *state = SlotState::Ready(value);
         self.ready.notify_all();
     }
 
@@ -179,47 +191,49 @@ impl ResultSlot {
     }
 }
 
-/// A claim on the typed result of one submitted [`QuerySpec`].
+/// A one-shot claim on a value the service will produce: see [`SpecHandle`] and
+/// [`UpdateHandle`].
 #[derive(Debug)]
-#[must_use = "dropping one silently abandons the result; call wait() or try_wait()"]
-pub struct SpecHandle {
-    slot: Arc<ResultSlot>,
+#[must_use = "dropping one silently discards the result or acknowledgement; call wait() or try_wait()"]
+pub struct Handle<T> {
+    slot: Arc<Slot<T>>,
 }
 
-impl SpecHandle {
-    /// Blocks until the spec's micro-batch has executed and returns the typed result.
+impl<T> Handle<T> {
+    /// Blocks until the value is available and returns it.
     ///
     /// # Panics
     ///
-    /// Panics if the worker executing the spec's micro-batch panicked (the query can
-    /// never be answered; panicking here surfaces the failure instead of hanging
-    /// forever). Use [`SpecHandle::wait_result`] to handle that case as an error.
-    pub fn wait(self) -> SpecResult {
+    /// Panics if the request was abandoned — the worker executing the query's
+    /// micro-batch panicked, or the service failed internally while publishing the
+    /// update — so the failure surfaces instead of hanging forever. Use
+    /// [`Handle::wait_result`] to handle that case as an error.
+    pub fn wait(self) -> T {
         self.wait_result()
-            .expect("query abandoned: the service worker executing it panicked")
+            .expect("request abandoned: the service failed while handling it")
     }
 
-    /// Blocks until the spec's micro-batch has executed; returns [`Abandoned`] instead
-    /// of panicking when the worker executing it died.
-    pub fn wait_result(self) -> Result<SpecResult, Abandoned> {
+    /// Blocks until the value is available; returns [`Abandoned`] instead of panicking
+    /// when the request will never be answered.
+    pub fn wait_result(self) -> Result<T, Abandoned> {
         let mut state = self.slot.state.lock().unwrap();
         loop {
             match std::mem::take(&mut *state) {
-                SlotState::Ready(result) => return Ok(result),
+                SlotState::Ready(value) => return Ok(value),
                 SlotState::Abandoned => return Err(Abandoned),
                 SlotState::Pending => state = self.slot.ready.wait(state).unwrap(),
             }
         }
     }
 
-    /// Non-blocking claim: the result (or the abandonment) if it is already decided,
+    /// Non-blocking claim: the value (or the abandonment) if it is already decided,
     /// otherwise the handle itself back, still waitable.
     #[allow(clippy::result_large_err)] // Err is the handle handed back, not an error.
-    pub fn try_wait(self) -> Result<Result<SpecResult, Abandoned>, SpecHandle> {
+    pub fn try_wait(self) -> Result<Result<T, Abandoned>, Handle<T>> {
         {
             let mut state = self.slot.state.lock().unwrap();
             match std::mem::take(&mut *state) {
-                SlotState::Ready(result) => return Ok(Ok(result)),
+                SlotState::Ready(value) => return Ok(Ok(value)),
                 SlotState::Abandoned => return Ok(Err(Abandoned)),
                 SlotState::Pending => {}
             }
@@ -227,11 +241,26 @@ impl SpecHandle {
         Err(self)
     }
 
-    /// Whether the result is already available (non-blocking).
+    /// Whether the value (or the abandonment) is already decided (non-blocking).
     pub fn is_ready(&self) -> bool {
         !matches!(*self.slot.state.lock().unwrap(), SlotState::Pending)
     }
 }
+
+/// A claim on the typed result of one submitted [`QuerySpec`]: ready once the spec's
+/// micro-batch has executed.
+pub type SpecHandle = Handle<SpecResult>;
+
+/// A claim on the completion of one [`PathService::update`] call.
+///
+/// Publication is synchronous with [`PathService::update`] — the handle is ready by the
+/// time that call returns — so `wait` never blocks behind query execution: the epoch
+/// protocol applies updates to worker engines lazily, per pinned micro-batch, not behind
+/// a pool-wide barrier. Once `wait` returns (equivalently, once the `update` call itself
+/// returned), every query submitted afterwards executes against the updated snapshot;
+/// queries submitted before it keep their pinned pre-update snapshot regardless of
+/// execution timing.
+pub type UpdateHandle = Handle<UpdateSummary>;
 
 /// A claim on the result of one submitted `Collect`-mode query (wraps a [`SpecHandle`]).
 #[derive(Debug)]
@@ -294,11 +323,11 @@ struct Submission {
     submitted_at: Instant,
     /// The tip epoch at admission time: the snapshot this query executes against.
     epoch: Arc<Epoch>,
-    slot: Arc<ResultSlot>,
+    slot: Arc<Slot<SpecResult>>,
 }
 
 impl Drop for Submission {
-    /// A submission dropped without [`ResultSlot::fulfill`] (worker panic unwinding the
+    /// A submission dropped without [`Slot::fulfill`] (worker panic unwinding the
     /// batch, or an internal channel failure) must not leave its handle blocked forever.
     fn drop(&mut self) {
         self.slot.abandon();
@@ -309,115 +338,6 @@ impl Drop for Submission {
 struct MicroBatch {
     submissions: Vec<Submission>,
     epoch: Arc<Epoch>,
-}
-
-/// Lifecycle of an update slot (mirrors [`SlotState`] for graph updates).
-#[derive(Debug, Default)]
-enum UpdateState {
-    /// The update is being published.
-    #[default]
-    Pending,
-    /// The update's epoch is published.
-    Ready(UpdateSummary),
-    /// The update will never complete (internal failure while publishing).
-    Abandoned,
-}
-
-/// One-shot completion slot shared between the publish path and an [`UpdateHandle`].
-#[derive(Debug, Default)]
-struct UpdateSlot {
-    state: Mutex<UpdateState>,
-    ready: Condvar,
-}
-
-impl UpdateSlot {
-    /// Delivers the summary. A slot is one-shot: a second fulfill (or one after an
-    /// abandonment) is an invariant violation — historically it was silently swallowed,
-    /// hiding double-dispatch bugs — so it debug-panics and is logged (and dropped) in
-    /// release builds.
-    fn fulfill(&self, summary: UpdateSummary) {
-        let mut state = self.state.lock().unwrap();
-        if !matches!(*state, UpdateState::Pending) {
-            drop(state);
-            debug_assert!(
-                false,
-                "UpdateSlot fulfilled twice: one-shot slots take exactly one summary"
-            );
-            eprintln!("hcsp-service: UpdateSlot fulfilled twice; dropping the duplicate summary");
-            return;
-        }
-        *state = UpdateState::Ready(summary);
-        self.ready.notify_all();
-    }
-
-    fn abandon(&self) {
-        let mut state = self.state.lock().unwrap();
-        if matches!(*state, UpdateState::Pending) {
-            *state = UpdateState::Abandoned;
-            self.ready.notify_all();
-        }
-    }
-}
-
-/// A claim on the completion of one [`PathService::update`] call.
-#[derive(Debug)]
-#[must_use = "dropping one loses the durability acknowledgement; call wait() or try_wait()"]
-pub struct UpdateHandle {
-    slot: Arc<UpdateSlot>,
-}
-
-impl UpdateHandle {
-    /// Blocks until the update's epoch is published and returns what the batch did.
-    ///
-    /// Publication is synchronous with [`PathService::update`] — the handle is ready by
-    /// the time that call returns — so `wait` never blocks behind query execution: the
-    /// epoch protocol applies updates to worker engines lazily, per pinned micro-batch,
-    /// not behind a pool-wide barrier. Once `wait` returns (equivalently, once the
-    /// `update` call itself returned), every query submitted afterwards executes against
-    /// the updated snapshot; queries submitted before it keep their pinned pre-update
-    /// snapshot regardless of execution timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service failed internally while publishing the update. Use
-    /// [`UpdateHandle::wait_result`] to handle that case as an error.
-    pub fn wait(self) -> UpdateSummary {
-        self.wait_result()
-            .expect("update abandoned: the service failed while publishing it")
-    }
-
-    /// Blocks until the update's epoch is published; returns [`Abandoned`] instead of
-    /// panicking when the service failed internally.
-    pub fn wait_result(self) -> Result<UpdateSummary, Abandoned> {
-        let mut state = self.slot.state.lock().unwrap();
-        loop {
-            match std::mem::take(&mut *state) {
-                UpdateState::Ready(summary) => return Ok(summary),
-                UpdateState::Abandoned => return Err(Abandoned),
-                UpdateState::Pending => state = self.slot.ready.wait(state).unwrap(),
-            }
-        }
-    }
-
-    /// Non-blocking claim: the summary (or the abandonment) if it is already decided,
-    /// otherwise the handle itself back, still waitable.
-    #[allow(clippy::result_large_err)] // Err is the handle handed back, not an error.
-    pub fn try_wait(self) -> Result<Result<UpdateSummary, Abandoned>, UpdateHandle> {
-        {
-            let mut state = self.slot.state.lock().unwrap();
-            match std::mem::take(&mut *state) {
-                UpdateState::Ready(summary) => return Ok(Ok(summary)),
-                UpdateState::Abandoned => return Ok(Err(Abandoned)),
-                UpdateState::Pending => {}
-            }
-        }
-        Err(self)
-    }
-
-    /// Whether the update has completed (non-blocking).
-    pub fn is_ready(&self) -> bool {
-        !matches!(*self.slot.state.lock().unwrap(), UpdateState::Pending)
-    }
 }
 
 /// The service's shared epoch state: the single-writer publisher behind the admission
@@ -884,34 +804,6 @@ impl PathServiceBuilder {
         Ok(self.launch(graph, Some((store, None))))
     }
 
-    /// Starts a *durable* service over `graph`, initialising a new store in `dir`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure `durability(DurabilityOptions::directory(dir))` and call `start`"
-    )]
-    pub fn start_durable(
-        mut self,
-        graph: impl Into<Arc<DiGraph>>,
-        dir: impl AsRef<Path>,
-    ) -> Result<PathService, StorageError> {
-        self.durability.backend = DurabilityBackend::Directory(dir.as_ref().to_path_buf());
-        self.start(graph)
-    }
-
-    /// Starts a *durable* service over `graph` on an explicit [`Vfs`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure `durability(DurabilityOptions::vfs(vfs))` and call `start`"
-    )]
-    pub fn start_durable_vfs(
-        mut self,
-        graph: impl Into<Arc<DiGraph>>,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<PathService, StorageError> {
-        self.durability.backend = DurabilityBackend::Vfs(vfs);
-        self.start(graph)
-    }
-
     /// Opens a durable service from an existing store directory, recovering the last
     /// acknowledged state: the newest committed snapshot is loaded and the log tail is
     /// replayed over it. What recovery found is reported by
@@ -1296,7 +1188,7 @@ impl PathService {
                 num_vertices,
             });
         }
-        let slot = Arc::new(ResultSlot::default());
+        let slot = Arc::new(Slot::default());
         let submission = Submission {
             spec,
             submitted_at: Instant::now(),
@@ -1359,7 +1251,7 @@ impl PathService {
         match self.try_update(updates) {
             Ok(handle) => handle,
             Err(_) => {
-                let slot = Arc::new(UpdateSlot::default());
+                let slot = Arc::new(Slot::default());
                 slot.abandon();
                 UpdateHandle { slot }
             }
@@ -1433,7 +1325,7 @@ impl PathService {
         }
         // Record before fulfilling: a caller returning from `wait()` may immediately
         // snapshot `PathService::stats()` and must see this update counted.
-        let slot = Arc::new(UpdateSlot::default());
+        let slot = Arc::new(Slot::default());
         {
             let mut stats = self.stats.lock().unwrap();
             stats.record_update(&summary, 1);
@@ -1944,7 +1836,7 @@ mod tests {
             spec: QuerySpec::collect(PathQuery::new(s, 1u32, 2)),
             submitted_at: Instant::now(),
             epoch: Arc::clone(epoch),
-            slot: Arc::new(ResultSlot::default()),
+            slot: Arc::new(Slot::default()),
         };
         let (tx, rx) = mpsc::channel::<Submission>();
         let (batch_tx, batch_rx) = mpsc::channel::<MicroBatch>();
@@ -2049,7 +1941,7 @@ mod tests {
 
     #[test]
     fn abandoned_slots_surface_errors_instead_of_hanging() {
-        let slot = Arc::new(ResultSlot::default());
+        let slot = Arc::new(Slot::default());
         let handle = SpecHandle {
             slot: Arc::clone(&slot),
         };
@@ -2058,7 +1950,7 @@ mod tests {
         assert!(handle.is_ready());
         assert_eq!(handle.wait_result().unwrap_err(), Abandoned);
 
-        let slot = Arc::new(ResultSlot::default());
+        let slot = Arc::new(Slot::default());
         let handle = SpecHandle {
             slot: Arc::clone(&slot),
         };
@@ -2066,7 +1958,7 @@ mod tests {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
         assert!(outcome.is_err(), "wait() must surface the abandonment");
 
-        let slot = Arc::new(UpdateSlot::default());
+        let slot = Arc::new(Slot::default());
         let handle = UpdateHandle {
             slot: Arc::clone(&slot),
         };
@@ -2079,7 +1971,7 @@ mod tests {
 
     #[test]
     fn try_wait_returns_the_handle_back_while_pending() {
-        let slot = Arc::new(ResultSlot::default());
+        let slot = Arc::new(Slot::default());
         let handle = SpecHandle {
             slot: Arc::clone(&slot),
         };
@@ -2097,7 +1989,7 @@ mod tests {
             other => panic!("expected the fulfilled result, got {other:?}"),
         }
 
-        let slot = Arc::new(UpdateSlot::default());
+        let slot = Arc::new(Slot::default());
         let handle = UpdateHandle {
             slot: Arc::clone(&slot),
         };
@@ -2136,7 +2028,7 @@ mod tests {
         if !cfg!(debug_assertions) {
             return; // release builds log instead of panicking
         }
-        let slot = ResultSlot::default();
+        let slot = Slot::default();
         let result = || SpecResult {
             response: QueryResponse::Count(0),
             queue_wait: Duration::ZERO,
@@ -2147,7 +2039,7 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.fulfill(result())));
         assert!(outcome.is_err(), "double fulfill must debug-panic");
 
-        let slot = UpdateSlot::default();
+        let slot = Slot::default();
         slot.fulfill(UpdateSummary::default());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             slot.fulfill(UpdateSummary::default())
@@ -2309,26 +2201,8 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_start_entry_points_still_work() {
-        #![allow(deprecated)]
-        use hcsp_storage::FailpointFs;
-        let fs = FailpointFs::new();
-        let service = PathService::builder()
-            .policy(BatchPolicy::immediate())
-            // lint:allow(no-deprecated-internal) regression coverage for the shim itself
-            .start_durable_vfs(complete(4), fs.as_vfs())
-            .unwrap();
-        assert!(service.is_durable());
-        service.update(vec![GraphUpdate::delete(0u32, 3u32)]).wait();
-        service.shutdown();
-        let reopened = PathService::builder().open_vfs(fs.as_vfs()).unwrap();
-        assert_eq!(reopened.recovery().unwrap().replayed_batches, 1);
-        reopened.shutdown();
-    }
-
-    #[test]
     fn dropped_submission_abandons_its_handle_instead_of_hanging() {
-        let slot = Arc::new(ResultSlot::default());
+        let slot = Arc::new(Slot::default());
         let handle = QueryHandle {
             inner: SpecHandle {
                 slot: Arc::clone(&slot),
