@@ -331,6 +331,162 @@ mod tests {
         }
     }
 
+    type Edges = Vec<(NodeId, NodeId, u32)>;
+
+    /// Ψ flattened for comparison: the node list, then every `(provider, user, offset)`
+    /// read provider by provider in `users` order and again user by user in `providers`
+    /// order — both adjacency orders are observable by the enumeration.
+    fn snapshot(sharing: &SharingGraph) -> (Vec<QueryNode>, Edges, Edges) {
+        let nodes = sharing.nodes().map(|(_, n)| *n).collect();
+        let mut by_provider = Vec::new();
+        let mut by_user = Vec::new();
+        for (id, _) in sharing.nodes() {
+            by_provider.extend(sharing.users(id).iter().map(|&(u, o)| (id, u, o)));
+            by_user.extend(sharing.providers(id).iter().map(|&(p, o)| (p, id, o)));
+        }
+        (nodes, by_provider, by_user)
+    }
+
+    fn fwd(root: u32, budget: u32) -> QueryNode {
+        QueryNode::Hcs(HcsQuery::new(root, budget, Direction::Forward))
+    }
+
+    fn bwd(root: u32, budget: u32) -> QueryNode {
+        QueryNode::Hcs(HcsQuery::new(root, budget, Direction::Backward))
+    }
+
+    #[test]
+    fn golden_sharing_graph_of_the_paper_batch() {
+        let g = paper_graph();
+        let queries = vec![
+            PathQuery::new(0u32, 11u32, 5),
+            PathQuery::new(2u32, 13u32, 5),
+            PathQuery::new(5u32, 12u32, 5),
+            PathQuery::new(4u32, 14u32, 4),
+            PathQuery::new(9u32, 14u32, 3),
+        ];
+        let index = build_index(&g, &queries);
+        let mut sharing = SharingGraph::new();
+        let outcome = detect_cluster(&g, &index, &cluster_of(&queries), &mut sharing);
+        assert_eq!(
+            outcome,
+            DetectionOutcome {
+                dominating_created: 2,
+                reuse_edges: 6,
+                cells_visited: 21,
+            }
+        );
+        let (nodes, by_provider, by_user) = snapshot(&sharing);
+        use QueryNode::Full;
+        assert_eq!(
+            nodes,
+            vec![
+                Full(0),
+                fwd(0, 3),
+                Full(1),
+                fwd(2, 3),
+                Full(2),
+                fwd(5, 3),
+                Full(3),
+                fwd(4, 2),
+                Full(4),
+                fwd(9, 2),
+                fwd(1, 2),
+                bwd(11, 2),
+                bwd(13, 2),
+                bwd(12, 2),
+                bwd(14, 2),
+                bwd(14, 1),
+                bwd(6, 1),
+            ]
+        );
+        assert_eq!(
+            by_provider,
+            vec![
+                (1, 0, 0),
+                (3, 2, 0),
+                (5, 4, 0),
+                (7, 6, 0),
+                (7, 1, 1),
+                (7, 3, 1),
+                (9, 8, 0),
+                (9, 7, 1),
+                (10, 1, 1),
+                (10, 3, 1),
+                (10, 5, 1),
+                (11, 0, 0),
+                (12, 2, 0),
+                (13, 4, 0),
+                (13, 11, 1),
+                (13, 12, 1),
+                (14, 6, 0),
+                (15, 8, 0),
+                (16, 11, 1),
+                (16, 12, 1),
+                (16, 14, 1),
+                (16, 15, 1),
+            ]
+        );
+        assert_eq!(
+            by_user,
+            vec![
+                (1, 0, 0),
+                (11, 0, 0),
+                (7, 1, 1),
+                (10, 1, 1),
+                (3, 2, 0),
+                (12, 2, 0),
+                (7, 3, 1),
+                (10, 3, 1),
+                (5, 4, 0),
+                (13, 4, 0),
+                (10, 5, 1),
+                (7, 6, 0),
+                (14, 6, 0),
+                (9, 7, 1),
+                (9, 8, 0),
+                (15, 8, 0),
+                (13, 11, 1),
+                (16, 11, 1),
+                (13, 12, 1),
+                (16, 12, 1),
+                (16, 14, 1),
+                (16, 15, 1),
+            ]
+        );
+        assert_eq!(
+            sharing.topological_order(),
+            vec![9, 7, 10, 1, 3, 5, 13, 4, 16, 11, 0, 12, 2, 14, 6, 15, 8]
+        );
+    }
+
+    #[test]
+    fn a_cluster_of_one_is_two_half_queries_and_nothing_else() {
+        // One half query per direction can neither converge nor reuse, whatever the graph
+        // looks like around it.
+        for (g, q) in [
+            (paper_graph(), PathQuery::new(0u32, 11u32, 5)),
+            (grid(6, 6), PathQuery::new(0u32, 35u32, 7)),
+        ] {
+            let index = build_index(&g, &[q]);
+            let mut sharing = SharingGraph::new();
+            let outcome = detect_cluster(&g, &index, &[(0, q)], &mut sharing);
+            assert_eq!((outcome.dominating_created, outcome.reuse_edges), (0, 0));
+            let (nodes, by_provider, by_user) = snapshot(&sharing);
+            assert_eq!(
+                nodes,
+                vec![
+                    QueryNode::Full(0),
+                    QueryNode::Hcs(q.half_query(Direction::Forward)),
+                    QueryNode::Hcs(q.half_query(Direction::Backward)),
+                ]
+            );
+            assert_eq!(by_provider, vec![(1, 0, 0), (2, 0, 0)]);
+            assert_eq!(by_user, by_provider);
+            assert_eq!(sharing.topological_order(), vec![1, 2, 0]);
+        }
+    }
+
     #[test]
     fn disjoint_queries_share_nothing() {
         // Two far-apart corners of a grid: no common computation exists.
