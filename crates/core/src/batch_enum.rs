@@ -17,7 +17,7 @@ use crate::buffers::SearchBuffers;
 use crate::cache::ResultCache;
 use crate::clustering::cluster_queries;
 use crate::concat::concatenate_scratch;
-use crate::detection::detect_cluster;
+use crate::detection::detect_cluster_in;
 use crate::path::PathSet;
 use crate::query::{BatchSummary, HcsQuery, PathQuery, QueryId};
 use crate::search_order::SearchOrder;
@@ -154,7 +154,13 @@ impl BatchEnum {
         let cluster_queries_list: Vec<(QueryId, PathQuery)> =
             cluster.iter().map(|&qid| (qid, queries[qid])).collect();
         let mut sharing = SharingGraph::new();
-        let outcome = detect_cluster(graph, index, &cluster_queries_list, &mut sharing);
+        let outcome = detect_cluster_in(
+            graph,
+            index,
+            &cluster_queries_list,
+            &mut sharing,
+            &mut buffers.detection,
+        );
         stats.num_shared_subqueries += outcome.dominating_created;
         let slacks = sharing.anchor_slacks(queries);
         let order = sharing.topological_order();

@@ -23,6 +23,7 @@
 //! `SearchBuffers`, which is what the cluster-sharded parallel executor
 //! ([`crate::parallel`]) hands each worker.
 
+use crate::detection::DetectionScratch;
 use crate::path::PathSet;
 use hcsp_graph::{DiGraph, VertexId};
 
@@ -140,6 +141,8 @@ pub struct SearchBuffers {
     pub(crate) backward: PathSet,
     /// Reusable join scratch.
     pub(crate) join: JoinScratch,
+    /// Reusable per-vertex state of common sub-query detection.
+    pub(crate) detection: DetectionScratch,
 }
 
 impl SearchBuffers {

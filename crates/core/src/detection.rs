@@ -11,15 +11,22 @@
 //! (the second observation of §IV-B, illustrated by `q_{v12,1,Gr}` vs `q_{v12,2,Gr}`).
 //!
 //! The simulation is restricted to the vertices that can still contribute to at least one
-//! query of the cluster (the union of the anchor-side index neighbourhoods), so its cost
-//! stays proportional to the index size, matching the paper's claim that IdentifySubquery
-//! time is dominated by BFS-scale work (Exp-3).
+//! query of the cluster (the union of the anchor-side index neighbourhoods), and its cost
+//! is that of a BFS over that region, matching the paper's claim that IdentifySubquery
+//! time is dominated by BFS-scale work (Exp-3): the region is a bitset filled straight
+//! from the index maps and probed once per scanned edge, the per-vertex state is dense and
+//! epoch-stamped (`DetectionScratch`), a level is one flat `(vertex, node)` run sorted
+//! once, and an edge of Ψ costs a look through the shorter of its two adjacency lists plus
+//! — only when it disagrees with Ψ's incremental numbering — a walk bounded by the window
+//! between its endpoints ([`SharingGraph::add_dependency`]). Sorting the runs is also what
+//! fixes Ψ: vertices ascending, node ids ascending within a vertex, neighbours in
+//! adjacency order.
 
+use crate::buffers::VisitMarks;
 use crate::query::{HcsQuery, PathQuery, QueryId};
 use crate::sharing_graph::{NodeId, SharingGraph};
 use hcsp_graph::{DiGraph, Direction, VertexId};
 use hcsp_index::BatchIndex;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Summary of one detection run (one cluster, one direction), used by stats and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,6 +37,24 @@ pub struct DetectionOutcome {
     pub reuse_edges: usize,
     /// Number of (vertex, level) cells the simulation touched.
     pub cells_visited: usize,
+}
+
+/// Reusable state of the simulation: per-vertex arrays sized lazily to the graph and
+/// cleared per run by an epoch bump, and the level runs with their capacity retained.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct DetectionScratch {
+    /// Bit `v`: `v` lies within the hop bound of at least one anchor of the cluster.
+    useful: Vec<u64>,
+    /// `root_query[v]`, where `has_root_query` marks `v`: the most recently identified
+    /// HC-s path query node rooted at `v` (MQ of Alg. 3).
+    root_query: Vec<NodeId>,
+    has_root_query: VisitMarks,
+    /// `(vertex, node)`: the enumeration of `node` sits at `vertex` with the current
+    /// remaining budget. Sorted and deduplicated at the start of each level.
+    active: Vec<(VertexId, NodeId)>,
+    next_active: Vec<(VertexId, NodeId)>,
+    /// One `(vertex, representative node)` per distinct vertex of `active`.
+    representatives: Vec<(VertexId, NodeId)>,
 }
 
 /// Runs Algorithm 3 for one cluster of queries in one direction, extending `sharing`.
@@ -44,23 +69,19 @@ pub fn detect_common_queries(
     dir: Direction,
     sharing: &mut SharingGraph,
 ) -> DetectionOutcome {
-    let mut outcome = DetectionOutcome::default();
-    if cluster.is_empty() {
-        return outcome;
-    }
+    let mut scratch = DetectionScratch::default();
+    detect_common_queries_in(graph, index, cluster, dir, sharing, &mut scratch)
+}
 
-    // The set of vertices that can still matter for any query of the cluster: within the
-    // hop bound of at least one anchor on the pruning side. Extensions outside this set can
-    // never produce a useful prefix, so the simulation skips them.
-    let mut useful: BTreeSet<VertexId> = BTreeSet::new();
-    for (_, q) in cluster {
-        let anchor = q.anchor(dir);
-        let reachable = match dir {
-            Direction::Forward => index.gamma_backward(anchor, q.hop_limit),
-            Direction::Backward => index.gamma_forward(anchor, q.hop_limit),
-        };
-        useful.extend(reachable);
-    }
+fn detect_common_queries_in(
+    graph: &DiGraph,
+    index: &BatchIndex,
+    cluster: &[(QueryId, PathQuery)],
+    dir: Direction,
+    sharing: &mut SharingGraph,
+    scratch: &mut DetectionScratch,
+) -> DetectionOutcome {
+    let mut outcome = DetectionOutcome::default();
 
     // Lines 2-4: every query contributes its half query as the initial extension of its
     // root; the half query node provides for the full query node with offset 0.
@@ -79,33 +100,64 @@ pub fn detect_common_queries(
         sharing.add_dependency(half_node, full_node, 0);
         pending[half.budget as usize].push((half.root, half_node));
     }
+    // One half query per direction has nothing to converge with and nothing to reuse: the
+    // simulation would walk its whole useful region and add nothing to Ψ.
+    if cluster.len() < 2 {
+        return outcome;
+    }
 
-    // root_query[v] = the most recently identified HC-s path query node rooted at v (MQ).
-    let mut root_query: BTreeMap<VertexId, NodeId> = BTreeMap::new();
-    for level in (0..=k_max).rev() {
-        for &(root, node) in &pending[level as usize] {
-            root_query.insert(root, node);
+    let DetectionScratch {
+        useful,
+        root_query,
+        has_root_query,
+        active,
+        next_active,
+        representatives,
+    } = scratch;
+
+    // The set of vertices that can still matter for any query of the cluster: within the
+    // hop bound of at least one anchor on the pruning side. Extensions outside this set can
+    // never produce a useful prefix, so the simulation skips them.
+    let n = graph.num_vertices();
+    useful.clear();
+    useful.resize(n.div_ceil(64), 0);
+    let anchor_side = match dir {
+        Direction::Forward => index.target_index(),
+        Direction::Backward => index.source_index(),
+    };
+    for (_, q) in cluster {
+        let reaching = anchor_side.map_of(q.anchor(dir)).into_iter();
+        for (v, dist) in reaching.flat_map(|map| map.iter()) {
+            if dist <= q.hop_limit {
+                useful[v.index() / 64] |= 1 << (v.index() % 64);
+            }
         }
     }
 
-    // active[v] = nodes whose enumeration currently sits at v with the current remaining
-    // budget. Initialised per level from `pending`.
-    let mut active: BTreeMap<VertexId, BTreeSet<NodeId>> = BTreeMap::new();
+    // Where several half queries share a root, the one with the smallest budget (the last
+    // of them in cluster order) is the most recently identified.
+    root_query.resize(n.max(root_query.len()), 0);
+    has_root_query.reset(n);
+    for &(root, node) in pending.iter().rev().flatten() {
+        root_query[root.index()] = node;
+        has_root_query.mark(root);
+    }
 
+    active.clear();
     let mut remaining = k_max;
     loop {
         // Activate the half queries whose budget equals the current remaining budget.
-        for &(root, node) in &pending[remaining as usize] {
-            active.entry(root).or_default().insert(node);
-        }
+        active.extend_from_slice(&pending[remaining as usize]);
+        active.sort_unstable();
+        active.dedup();
 
         // Lines 7-19: detect convergence per vertex and elect a representative.
-        let mut representatives: BTreeMap<VertexId, NodeId> = BTreeMap::new();
-        for (&vertex, nodes) in &active {
+        representatives.clear();
+        for nodes in active.chunk_by(|a, b| a.0 == b.0) {
             outcome.cells_visited += 1;
-            debug_assert!(!nodes.is_empty());
-            if nodes.len() == 1 {
-                representatives.insert(vertex, *nodes.iter().next().unwrap());
+            let vertex = nodes[0].0;
+            if let [(_, only)] = *nodes {
+                representatives.push((vertex, only));
                 continue;
             }
             // Several queries share all continuations from `vertex` with `remaining` hops:
@@ -116,18 +168,15 @@ pub fn detect_common_queries(
             if !existed {
                 outcome.dominating_created += 1;
             }
-            for &user in nodes {
+            for &(_, user) in nodes {
                 if user != dom_node {
-                    let user_budget = sharing
-                        .node(user)
-                        .as_hcs()
-                        .expect("active nodes are HC-s path queries")
-                        .budget;
+                    let user_budget = hcs_budget(sharing, user);
                     sharing.add_dependency(dom_node, user, user_budget - remaining);
                 }
             }
-            representatives.insert(vertex, dom_node);
-            root_query.insert(vertex, dom_node);
+            representatives.push((vertex, dom_node));
+            root_query[vertex.index()] = dom_node;
+            has_root_query.mark(vertex);
         }
 
         if remaining == 0 {
@@ -135,40 +184,32 @@ pub fn detect_common_queries(
         }
 
         // Lines 20-24: extend every representative by one hop.
-        let mut next_active: BTreeMap<VertexId, BTreeSet<NodeId>> = BTreeMap::new();
-        for (&vertex, &rep) in &representatives {
-            let rep_budget = sharing
-                .node(rep)
-                .as_hcs()
-                .expect("representatives are HC-s path queries")
-                .budget;
+        next_active.clear();
+        for &(vertex, rep) in representatives.iter() {
+            let rep_budget = hcs_budget(sharing, rep);
             for &next in graph.neighbors(vertex, dir) {
-                if !useful.contains(&next) {
+                if useful[next.index() / 64] & (1 << (next.index() % 64)) == 0 {
                     continue;
                 }
                 // If an HC-s path query rooted at `next` already covers the remaining need,
                 // reuse it instead of extending (second observation of §IV-B).
-                let reusable = root_query.get(&next).copied().filter(|&candidate| {
-                    candidate != rep
-                        && sharing
-                            .node(candidate)
-                            .as_hcs()
-                            .map(|q| q.covers_budget(remaining.saturating_sub(1)))
-                            .unwrap_or(false)
-                });
-                if let Some(provider) = reusable {
+                if has_root_query.contains(next) {
+                    let provider = root_query[next.index()];
                     let offset = rep_budget - (remaining - 1);
-                    if sharing.add_dependency(provider, rep, offset) {
+                    // A refused edge would have created a cycle: keep extending instead.
+                    if provider != rep
+                        && hcs_budget(sharing, provider) >= remaining - 1
+                        && sharing.add_dependency(provider, rep, offset)
+                    {
                         outcome.reuse_edges += 1;
                         continue;
                     }
-                    // The edge would have created a cycle; fall through and keep extending.
                 }
-                next_active.entry(next).or_default().insert(rep);
+                next_active.push((next, rep));
             }
         }
 
-        active = next_active;
+        std::mem::swap(active, next_active);
         remaining -= 1;
         if active.is_empty() && pending[..=remaining as usize].iter().all(Vec::is_empty) {
             break;
@@ -178,6 +219,15 @@ pub fn detect_common_queries(
     outcome
 }
 
+/// The budget of a node the simulation handles; those are all HC-s path queries.
+fn hcs_budget(sharing: &SharingGraph, node: NodeId) -> u32 {
+    sharing
+        .node(node)
+        .as_hcs()
+        .expect("active nodes, representatives and providers are HC-s path queries")
+        .budget
+}
+
 /// Detection entry point used by `BatchEnum`: runs both directions for one cluster.
 pub fn detect_cluster(
     graph: &DiGraph,
@@ -185,11 +235,31 @@ pub fn detect_cluster(
     cluster: &[(QueryId, PathQuery)],
     sharing: &mut SharingGraph,
 ) -> DetectionOutcome {
-    let mut total = detect_common_queries(graph, index, cluster, Direction::Forward, sharing);
-    let backward = detect_common_queries(graph, index, cluster, Direction::Backward, sharing);
-    total.dominating_created += backward.dominating_created;
-    total.reuse_edges += backward.reuse_edges;
-    total.cells_visited += backward.cells_visited;
+    detect_cluster_in(
+        graph,
+        index,
+        cluster,
+        sharing,
+        &mut DetectionScratch::default(),
+    )
+}
+
+/// [`detect_cluster`] over caller-owned scratch, so a batch of many clusters (or a worker
+/// serving many batches) sizes the per-vertex state once.
+pub(crate) fn detect_cluster_in(
+    graph: &DiGraph,
+    index: &BatchIndex,
+    cluster: &[(QueryId, PathQuery)],
+    sharing: &mut SharingGraph,
+    scratch: &mut DetectionScratch,
+) -> DetectionOutcome {
+    let mut total = DetectionOutcome::default();
+    for dir in [Direction::Forward, Direction::Backward] {
+        let found = detect_common_queries_in(graph, index, cluster, dir, sharing, scratch);
+        total.dominating_created += found.dominating_created;
+        total.reuse_edges += found.reuse_edges;
+        total.cells_visited += found.cells_visited;
+    }
     total
 }
 

@@ -14,7 +14,7 @@
 
 use crate::query::{HcsQuery, PathQuery, QueryId};
 use hcsp_graph::VertexId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Index of a node inside a [`SharingGraph`].
 pub type NodeId = usize;
@@ -77,6 +77,84 @@ pub struct SharingGraph {
     hcs_lookup: HashMap<HcsQuery, NodeId>,
     /// Lookup of full query nodes by query id.
     full_lookup: HashMap<QueryId, NodeId>,
+    /// The topological numbering `add_dependency` maintains.
+    order: TopologicalOrder,
+}
+
+/// Room left between neighbouring labels when they are handed out.
+const LABEL_GAP: i64 = 1 << 32;
+
+/// A topological numbering of Ψ that can be repaired locally: one distinct integer label
+/// per node, `label[provider] < label[user]` for every edge. Labels are handed out
+/// [`LABEL_GAP`] apart, so a run of nodes can be moved to directly after another node by
+/// taking labels from the gap there; only when a gap is used up are all labels spread out
+/// again.
+#[derive(Debug, Clone, Default)]
+struct TopologicalOrder {
+    label: Vec<i64>,
+    by_label: BTreeMap<i64, NodeId>,
+    /// Epoch-stamped visit marks of [`SharingGraph::restore_order`]'s walk (the
+    /// `VisitMarks` idiom of `buffers.rs`) and the nodes it reached, reused across calls.
+    stamps: Vec<u32>,
+    epoch: u32,
+    reached: Vec<NodeId>,
+}
+
+impl TopologicalOrder {
+    /// Numbers the next node id before every node (`front`) or after every node.
+    fn push(&mut self, front: bool) {
+        let label = if front {
+            let first = self.by_label.first_key_value();
+            first.map_or(0, |(label, _)| label - LABEL_GAP)
+        } else {
+            let last = self.by_label.last_key_value();
+            last.map_or(0, |(label, _)| label + LABEL_GAP)
+        };
+        self.by_label.insert(label, self.label.len());
+        self.label.push(label);
+        self.stamps.push(0);
+    }
+
+    /// Moves `self.reached` (sorted by label, all below `anchor`'s) to directly after
+    /// `anchor`, keeping its order.
+    fn move_reached_after(&mut self, anchor: NodeId) {
+        for &node in &self.reached {
+            self.by_label.remove(&self.label[node]);
+        }
+        let slots = self.reached.len() as i64 + 1;
+        let low = self.label[anchor];
+        let above = self.by_label.range(low + 1..).next();
+        let mut gap = above.map_or(LABEL_GAP, |(label, _)| label - low);
+        if gap < slots {
+            for (i, node) in std::mem::take(&mut self.by_label).into_values().enumerate() {
+                self.label[node] = i as i64 * LABEL_GAP;
+                self.by_label.insert(self.label[node], node);
+            }
+            gap = LABEL_GAP;
+        }
+        for (i, &node) in self.reached.iter().enumerate() {
+            self.label[node] = self.label[anchor] + gap / slots * (i as i64 + 1);
+            self.by_label.insert(self.label[node], node);
+        }
+    }
+
+    /// Starts a new walk: all marks cleared, nothing reached.
+    fn start_walk(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.reached.clear();
+    }
+
+    /// Records `node` as reached unless it already was.
+    fn reach(&mut self, node: NodeId) {
+        if self.stamps[node] != self.epoch {
+            self.stamps[node] = self.epoch;
+            self.reached.push(node);
+        }
+    }
 }
 
 impl SharingGraph {
@@ -145,6 +223,10 @@ impl SharingGraph {
 
     fn push_node(&mut self, node: QueryNode) -> NodeId {
         let id = self.nodes.len();
+        // HC-s-t queries only ever use results, so they go to the back; an HC-s path query
+        // is usually found because nodes that exist can use it, so it goes before all of
+        // them. Most edges then arrive already agreeing with the numbering.
+        self.order.push(matches!(node, QueryNode::Hcs(_)));
         self.nodes.push(node);
         self.users.push(Vec::new());
         self.providers.push(Vec::new());
@@ -155,18 +237,30 @@ impl SharingGraph {
     ///
     /// Self-dependencies and exact duplicates are ignored. Returns `false` (and adds
     /// nothing) if the edge would create a cycle, which keeps Ψ a DAG by construction.
+    ///
+    /// Numbering invariant: `label[provider] < label[user]` for every edge of Ψ. An edge
+    /// that already agrees with the labels cannot close a cycle (a path `user ⇒ provider`
+    /// would need `label[user] < label[provider]`) and is accepted without looking at the
+    /// graph; any other edge is decided, and the numbering repaired, by
+    /// `restore_order` inside the window between the two labels.
     pub fn add_dependency(&mut self, provider: NodeId, user: NodeId, offset: u32) -> bool {
         if provider == user {
             return false;
         }
-        if self.users[provider]
-            .iter()
-            .any(|&(u, o)| u == user && o == offset)
-        {
+        // Each edge sits in both adjacency lists; the shorter one answers "seen before?".
+        let (list, other) = if self.users[provider].len() <= self.providers[user].len() {
+            (&self.users[provider], user)
+        } else {
+            (&self.providers[user], provider)
+        };
+        if list.contains(&(other, offset)) {
             return true;
         }
-        if !self.edge_is_trivially_acyclic(provider, user) && self.reaches(user, provider) {
-            // provider is reachable from user: adding provider -> user would close a cycle.
+        let closes_cycle = self.order.label[user] < self.order.label[provider]
+            && !self.restore_order(provider, user);
+        #[cfg(test)]
+        assert_eq!(closes_cycle, self.reaches(user, provider));
+        if closes_cycle {
             return false;
         }
         self.users[provider].push((user, offset));
@@ -174,37 +268,35 @@ impl SharingGraph {
         true
     }
 
-    /// Cheap structural argument that `provider → user` cannot close a cycle, avoiding the
-    /// graph walk of [`SharingGraph::reaches`] for the overwhelmingly common edge shapes:
-    /// HC-s-t query nodes never have outgoing edges (nothing reuses *their* results), and a
-    /// provider that has no providers of its own cannot be the endpoint of any existing
-    /// `user ⇒ provider` path, so no edge towards it can be part of a cycle. Freshly
-    /// detected dominating queries fall into the second category, which covers the bulk of
-    /// the edges inserted during detection.
-    fn edge_is_trivially_acyclic(&self, provider: NodeId, user: NodeId) -> bool {
-        matches!(self.nodes[user], QueryNode::Full(_)) || self.providers[provider].is_empty()
-    }
-
-    /// Whether `to` is reachable from `from` following provider → user edges.
-    fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = vec![from];
-        visited[from] = true;
-        while let Some(n) = stack.pop() {
-            for &(u, _) in &self.users[n] {
-                if u == to {
-                    return true;
+    /// Decides an edge `provider → user` that disagrees with the numbering
+    /// (`label[user] < label[provider]`). Any path `user ⇒ provider` lies wholly inside the
+    /// window between the two labels, so the walk from `user` never leaves it: reaching
+    /// `provider` means the edge closes a cycle (`false`, nothing changed). Otherwise
+    /// everything reached is moved, in its order, to directly after `provider`: what the
+    /// moved nodes provide for either moved with them or already lay beyond `provider`,
+    /// and what provides for them stayed before — so the numbering holds again and now
+    /// agrees with the edge, and no node outside the walk was touched.
+    fn restore_order(&mut self, provider: NodeId, user: NodeId) -> bool {
+        let order = &mut self.order;
+        let high = order.label[provider];
+        order.start_walk();
+        order.reach(user);
+        let mut next = 0;
+        while let Some(&node) = order.reached.get(next) {
+            next += 1;
+            for &(reached, _) in &self.users[node] {
+                if reached == provider {
+                    return false;
                 }
-                if !visited[u] {
-                    visited[u] = true;
-                    stack.push(u);
+                if order.label[reached] < high {
+                    order.reach(reached);
                 }
             }
         }
-        false
+        let label = &order.label;
+        order.reached.sort_unstable_by_key(|&n| label[n]);
+        order.move_reached_after(provider);
+        true
     }
 
     /// Users (dependants) of a node, with offsets.
@@ -259,53 +351,67 @@ impl SharingGraph {
     /// with offset `o` receives every pair of `u` with its slack reduced by `o` (keeping,
     /// per anchor, the largest slack — the union of usefulness conditions).
     pub fn anchor_slacks(&self, queries: &[PathQuery]) -> Vec<Vec<AnchorSlack>> {
-        let mut slacks: Vec<HashMap<VertexId, u32>> = vec![HashMap::new(); self.nodes.len()];
+        // The anchors of this Ψ, ranked: a batch has few, so the constraints gathered for
+        // one node fit a dense `best[rank]` array plus a bitset of the ranks present, and
+        // reading the bitset back yields them sorted by anchor without sorting anything.
+        let mut anchors: Vec<VertexId> = self
+            .full_lookup
+            .keys()
+            .flat_map(|&qid| [queries[qid].source, queries[qid].target])
+            .collect();
+        anchors.sort_unstable();
+        anchors.dedup();
+        let mut best = vec![0u32; anchors.len()];
+        let mut present = vec![0u64; anchors.len().div_ceil(64)];
+        fn relax(present: &mut [u64], best: &mut [u32], rank: usize, slack: u32) {
+            present[rank / 64] |= 1 << (rank % 64);
+            best[rank] = best[rank].max(slack);
+        }
 
-        // Seed the half-query nodes from their full-query users.
-        for (id, node) in self.nodes.iter().enumerate() {
-            if let QueryNode::Hcs(hcs) = node {
-                for &(user, _) in &self.users[id] {
-                    if let QueryNode::Full(qid) = self.nodes[user] {
-                        let q = &queries[qid];
-                        let anchor = q.anchor(hcs.direction);
-                        let entry = slacks[id].entry(anchor).or_insert(0);
-                        *entry = (*entry).max(q.hop_limit);
+        // Until the last step `anchor` holds the anchor's rank, not its vertex id.
+        let mut slacks: Vec<Vec<AnchorSlack>> = vec![Vec::new(); self.nodes.len()];
+        // Users before providers — the numbering walked from the back — so a node's list
+        // is final when its providers read it.
+        for &node in self.order.by_label.values().rev() {
+            let QueryNode::Hcs(hcs) = self.nodes[node] else {
+                continue;
+            };
+            for &(user, offset) in &self.users[node] {
+                match self.nodes[user] {
+                    QueryNode::Full(qid) => {
+                        let anchor = queries[qid].anchor(hcs.direction);
+                        let rank = anchors
+                            .binary_search(&anchor)
+                            .expect("every endpoint of a full query was ranked");
+                        relax(&mut present, &mut best, rank, queries[qid].hop_limit);
+                    }
+                    QueryNode::Hcs(_) => {
+                        for a in &slacks[user] {
+                            let slack = a.slack.saturating_sub(offset);
+                            relax(&mut present, &mut best, a.anchor.index(), slack);
+                        }
                     }
                 }
             }
-        }
-
-        // Propagate from users to providers: reverse topological order visits users first.
-        let order = self.topological_order();
-        for &node in order.iter().rev() {
-            if self.nodes[node].as_hcs().is_none() {
-                continue;
-            }
-            let node_slacks: Vec<(VertexId, u32)> =
-                slacks[node].iter().map(|(&a, &s)| (a, s)).collect();
-            for &(provider, offset) in &self.providers[node] {
-                if self.nodes[provider].as_hcs().is_none() {
-                    continue;
-                }
-                for &(anchor, slack) in &node_slacks {
-                    let propagated = slack.saturating_sub(offset);
-                    let entry = slacks[provider].entry(anchor).or_insert(0);
-                    *entry = (*entry).max(propagated);
+            let count = present.iter().map(|w| w.count_ones() as usize).sum();
+            let mut list = Vec::with_capacity(count);
+            for (w, word) in present.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let rank = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    list.push(AnchorSlack {
+                        anchor: VertexId(rank as u32),
+                        slack: std::mem::take(&mut best[rank]),
+                    });
                 }
             }
+            slacks[node] = list;
         }
-
+        for a in slacks.iter_mut().flatten() {
+            a.anchor = anchors[a.anchor.index()];
+        }
         slacks
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<AnchorSlack> = m
-                    .into_iter()
-                    .map(|(anchor, slack)| AnchorSlack { anchor, slack })
-                    .collect();
-                v.sort_by_key(|a| (a.anchor, a.slack));
-                v
-            })
-            .collect()
     }
 }
 
@@ -313,6 +419,29 @@ impl SharingGraph {
 mod tests {
     use super::*;
     use hcsp_graph::Direction;
+
+    impl SharingGraph {
+        /// Whether `to` is reachable from `from` following provider → user edges: the
+        /// plain depth-first walk the incremental numbering replaced, kept as the oracle
+        /// `add_dependency` checks every answer against under `cfg(test)`.
+        pub(super) fn reaches(&self, from: NodeId, to: NodeId) -> bool {
+            let mut visited = vec![false; self.nodes.len()];
+            let mut stack = vec![from];
+            visited[from] = true;
+            while let Some(n) = stack.pop() {
+                for &(u, _) in &self.users[n] {
+                    if u == to {
+                        return true;
+                    }
+                    if !visited[u] {
+                        visited[u] = true;
+                        stack.push(u);
+                    }
+                }
+            }
+            false
+        }
+    }
 
     fn hcs(root: u32, budget: u32, dir: Direction) -> HcsQuery {
         HcsQuery::new(root, budget, dir)
@@ -352,6 +481,80 @@ mod tests {
         assert!(g.add_dependency(a, b, 1));
         assert_eq!(g.users(a).len(), 1);
         assert_eq!(g.providers(b).len(), 1);
+    }
+
+    /// Every node holds the label it is filed under, and every edge runs from a smaller
+    /// label to a larger one.
+    fn assert_numbering(g: &SharingGraph) {
+        let order = &g.order;
+        assert_eq!(order.by_label.len(), g.len());
+        for (&label, &node) in &order.by_label {
+            assert_eq!(order.label[node], label);
+        }
+        for (provider, _) in g.nodes() {
+            for &(user, _) in g.users(provider) {
+                assert!(order.label[provider] < order.label[user]);
+            }
+        }
+    }
+
+    #[test]
+    fn numbering_holds_under_arbitrary_edges() {
+        // Every accept/reject below is also checked against the depth-first oracle inside
+        // `add_dependency` itself; dense random edges make cycles the common case.
+        let mut g = SharingGraph::new();
+        for i in 0..48u32 {
+            if i % 6 == 0 {
+                g.add_full_query(i as usize);
+            } else {
+                g.add_hcs_query(hcs(i, 3, Direction::Forward));
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % bound) as usize
+        };
+        let (mut accepted, mut refused) = (0, 0);
+        for _ in 0..600 {
+            let (provider, user) = (draw(48), draw(48));
+            if g.add_dependency(provider, user, draw(3) as u32) {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+            assert_numbering(&g);
+        }
+        assert!(
+            accepted > 50 && refused > 50,
+            "{accepted} accepted, {refused} refused"
+        );
+        assert_eq!(g.topological_order().len(), g.len());
+    }
+
+    #[test]
+    fn an_exhausted_gap_relabels_the_list() {
+        // Each new node is born at the front and moved to directly after `hub`, halving
+        // the gap there; past 32 halvings only spreading the labels out again makes room.
+        let mut g = SharingGraph::new();
+        let full = g.add_full_query(0);
+        let hub = g.add_hcs_query(hcs(0, 9, Direction::Forward));
+        g.add_dependency(hub, full, 0);
+        let mut expected = vec![full];
+        for i in 1..=80u32 {
+            let user = g.add_hcs_query(hcs(i, 9, Direction::Forward));
+            assert!(g.add_dependency(hub, user, 1));
+            assert_numbering(&g);
+            expected.push(user);
+        }
+        expected.push(hub);
+        expected.reverse();
+        let listed: Vec<NodeId> = g.order.by_label.values().copied().collect();
+        assert_eq!(listed, expected);
+        // `hub` was born at -LABEL_GAP; spread-out labels start at 0.
+        assert_eq!(g.order.label[hub], 0);
     }
 
     #[test]

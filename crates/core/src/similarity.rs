@@ -15,10 +15,10 @@
 
 use crate::query::PathQuery;
 use hcsp_graph::VertexId;
-use hcsp_index::{BatchIndex, SparseDistanceMap};
+use hcsp_index::BatchIndex;
 
-/// The two hop-constrained neighbourhoods of one query, stored as sorted vertex sets with
-/// their sizes. Intersections are computed by linear merges over the sorted sets.
+/// The two hop-constrained neighbourhoods of one query, stored as sorted duplicate-free
+/// vertex sets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryNeighborhood {
     /// Γ(q): vertices within `q.k` hops of `q.s` on `G` (sorted).
@@ -37,22 +37,6 @@ impl QueryNeighborhood {
         QueryNeighborhood {
             forward: index.gamma_forward(query.source, query.hop_limit),
             backward: index.gamma_backward(query.target, query.hop_limit),
-        }
-    }
-
-    /// Builds a neighbourhood from raw sparse maps (useful in tests).
-    pub fn from_maps(forward: &SparseDistanceMap, backward: &SparseDistanceMap, k: u32) -> Self {
-        QueryNeighborhood {
-            forward: forward
-                .iter()
-                .filter(|&(_, d)| d <= k)
-                .map(|(v, _)| v)
-                .collect(),
-            backward: backward
-                .iter()
-                .filter(|&(_, d)| d <= k)
-                .map(|(v, _)| v)
-                .collect(),
         }
     }
 }
@@ -76,9 +60,8 @@ fn intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
 
 /// One direction's contribution to µ: `|A ∩ B| / min(|A|, |B|)` (0 when the intersection or
 /// either set is empty).
-fn containment(a: &[VertexId], b: &[VertexId]) -> f64 {
-    let inter = intersection_size(a, b);
-    let min = a.len().min(b.len());
+fn containment(inter: usize, a_len: usize, b_len: usize) -> f64 {
+    let min = a_len.min(b_len);
     if inter == 0 || min == 0 {
         0.0
     } else {
@@ -86,13 +69,8 @@ fn containment(a: &[VertexId], b: &[VertexId]) -> f64 {
     }
 }
 
-/// The HC-s-t path query similarity µ(qA, qB) of Definition 4.5, in `[0, 1]`.
-pub fn query_similarity(a: &QueryNeighborhood, b: &QueryNeighborhood) -> f64 {
-    let forward = containment(&a.forward, &b.forward);
-    let backward = containment(&a.backward, &b.backward);
-    if forward == 0.0 && backward == 0.0 {
-        return 0.0;
-    }
+/// µ from the two containment ratios.
+fn harmonic_mean(forward: f64, backward: f64) -> f64 {
     // µ = 2 / (1/forward + 1/backward) with a zero term contributing 0 to the harmonic
     // mean (footnote 1 of the paper): equivalently 2·f·b / (f + b) when both are positive,
     // and 0 when either is 0 (one empty intersection means the queries cannot share both
@@ -103,22 +81,69 @@ pub fn query_similarity(a: &QueryNeighborhood, b: &QueryNeighborhood) -> f64 {
     2.0 * forward * backward / (forward + backward)
 }
 
-/// Average pairwise similarity of a whole query set, the `µ_Q` reported on the x-axis of
-/// Fig. 7 (Exp-1).
-pub fn batch_similarity(neighborhoods: &[QueryNeighborhood]) -> f64 {
-    let n = neighborhoods.len();
-    if n < 2 {
-        return if n == 1 { 1.0 } else { 0.0 };
-    }
-    let mut total = 0.0;
-    let mut pairs = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            total += query_similarity(&neighborhoods[i], &neighborhoods[j]);
-            pairs += 1;
+/// The HC-s-t path query similarity µ(qA, qB) of Definition 4.5, in `[0, 1]`.
+pub fn query_similarity(a: &QueryNeighborhood, b: &QueryNeighborhood) -> f64 {
+    let side =
+        |a: &[VertexId], b: &[VertexId]| containment(intersection_size(a, b), a.len(), b.len());
+    harmonic_mean(side(&a.forward, &b.forward), side(&a.backward, &b.backward))
+}
+
+/// One side (all Γ or all Γr) of a batch, prepared for pairwise intersection counts.
+///
+/// A set that fills at least one bit per 64-bit word of the batch's id span gets a bitset
+/// over that span, and two such sets intersect by `AND` + `count_ones` — `span / 64` word
+/// operations, never more than the smaller set has elements. Any other pair falls back to
+/// the linear merge, so sparse neighbourhoods in a huge id space neither allocate nor scan
+/// the span. Both give the same integer.
+struct SideSets<'a> {
+    sets: Vec<&'a [VertexId]>,
+    /// `bits[i]` is empty when set `i` is too sparse for a bitset.
+    bits: Vec<Vec<u64>>,
+}
+
+impl<'a> SideSets<'a> {
+    fn new(sets: Vec<&'a [VertexId]>) -> Self {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for set in &sets {
+            for v in set.iter() {
+                lo = lo.min(v.index());
+                hi = hi.max(v.index());
+            }
         }
+        let (base, words) = if lo <= hi {
+            (lo, (hi - lo) / 64 + 1)
+        } else {
+            (0, 0)
+        };
+        let bits = sets
+            .iter()
+            .map(|set| {
+                if set.len() < words {
+                    return Vec::new();
+                }
+                let mut bits = vec![0u64; words];
+                for v in set.iter() {
+                    let bit = v.index() - base;
+                    bits[bit / 64] |= 1 << (bit % 64);
+                }
+                bits
+            })
+            .collect();
+        SideSets { sets, bits }
     }
-    total / pairs as f64
+
+    fn containment(&self, i: usize, j: usize) -> f64 {
+        let (a, b) = (&self.bits[i], &self.bits[j]);
+        let inter = if a.is_empty() || b.is_empty() {
+            intersection_size(self.sets[i], self.sets[j])
+        } else {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum()
+        };
+        containment(inter, self.sets[i].len(), self.sets[j].len())
+    }
 }
 
 /// Group similarity δ(C_A, C_B) (Definition 4.6): the average of µ over the Cartesian
@@ -144,14 +169,17 @@ pub struct SimilarityMatrix {
 }
 
 impl SimilarityMatrix {
-    /// Computes µ for every unordered pair of queries.
+    /// Computes µ for every unordered pair of queries: the values of [`query_similarity`],
+    /// with the intersections counted word-parallel wherever the sets are dense enough.
     pub fn compute(neighborhoods: &[QueryNeighborhood]) -> Self {
         let n = neighborhoods.len();
+        let forward = SideSets::new(neighborhoods.iter().map(|q| &q.forward[..]).collect());
+        let backward = SideSets::new(neighborhoods.iter().map(|q| &q.backward[..]).collect());
         let mut values = vec![0.0; n * n];
         for i in 0..n {
             values[i * n + i] = 1.0;
             for j in (i + 1)..n {
-                let sim = query_similarity(&neighborhoods[i], &neighborhoods[j]);
+                let sim = harmonic_mean(forward.containment(i, j), backward.containment(i, j));
                 values[i * n + j] = sim;
                 values[j * n + i] = sim;
             }
@@ -258,10 +286,8 @@ mod tests {
         assert!(!matrix.is_empty());
         assert!((matrix.get(0, 1) - 1.0).abs() < 1e-12);
         assert_eq!(matrix.get(0, 2), 0.0);
-        let avg = batch_similarity(&ns);
-        assert!((matrix.average() - avg).abs() < 1e-12);
         // Pairs: (0,1)=1, (0,2)=0, (1,2)=0 -> average 1/3.
-        assert!((avg - 1.0 / 3.0).abs() < 1e-12);
+        assert!((matrix.average() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -289,8 +315,7 @@ mod tests {
 
     #[test]
     fn degenerate_batches() {
-        assert_eq!(batch_similarity(&[]), 0.0);
-        assert_eq!(batch_similarity(&[nbh(&[1], &[2])]), 1.0);
+        assert_eq!(SimilarityMatrix::compute(&[nbh(&[1], &[2])]).average(), 1.0);
         let empty_matrix = SimilarityMatrix::compute(&[]);
         assert_eq!(empty_matrix.average(), 0.0);
         assert!(empty_matrix.is_empty());
