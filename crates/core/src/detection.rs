@@ -39,8 +39,9 @@ pub struct DetectionOutcome {
     pub cells_visited: usize,
 }
 
-/// Reusable state of the simulation: per-vertex arrays sized lazily to the graph and
-/// cleared per run by an epoch bump, and the level runs with their capacity retained.
+/// Reusable per-vertex state of the simulation, sized lazily to the graph; `root_query`
+/// is cleared per run by an epoch bump. (The level runs are not kept here: they are as
+/// long as a level has scanned edges, and a worker's buffers outlive the enumeration.)
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DetectionScratch {
     /// Bit `v`: `v` lies within the hop bound of at least one anchor of the cluster.
@@ -49,12 +50,6 @@ pub(crate) struct DetectionScratch {
     /// HC-s path query node rooted at `v` (MQ of Alg. 3).
     root_query: Vec<NodeId>,
     has_root_query: VisitMarks,
-    /// `(vertex, node)`: the enumeration of `node` sits at `vertex` with the current
-    /// remaining budget. Sorted and deduplicated at the start of each level.
-    active: Vec<(VertexId, NodeId)>,
-    next_active: Vec<(VertexId, NodeId)>,
-    /// One `(vertex, representative node)` per distinct vertex of `active`.
-    representatives: Vec<(VertexId, NodeId)>,
 }
 
 /// Runs Algorithm 3 for one cluster of queries in one direction, extending `sharing`.
@@ -110,9 +105,6 @@ fn detect_common_queries_in(
         useful,
         root_query,
         has_root_query,
-        active,
-        next_active,
-        representatives,
     } = scratch;
 
     // The set of vertices that can still matter for any query of the cluster: within the
@@ -143,7 +135,10 @@ fn detect_common_queries_in(
         has_root_query.mark(root);
     }
 
-    active.clear();
+    // active: `(vertex, node)` — the enumeration of `node` sits at `vertex` with the current
+    // remaining budget; sorted and deduplicated at the start of each level.
+    // representatives: one `(vertex, node)` per distinct vertex of `active`.
+    let (mut active, mut next_active, mut representatives) = (Vec::new(), Vec::new(), Vec::new());
     let mut remaining = k_max;
     loop {
         // Activate the half queries whose budget equals the current remaining budget.
@@ -170,7 +165,7 @@ fn detect_common_queries_in(
             }
             for &(_, user) in nodes {
                 if user != dom_node {
-                    let user_budget = hcs_budget(sharing, user);
+                    let user_budget = hcs(sharing, user).budget;
                     sharing.add_dependency(dom_node, user, user_budget - remaining);
                 }
             }
@@ -185,8 +180,8 @@ fn detect_common_queries_in(
 
         // Lines 20-24: extend every representative by one hop.
         next_active.clear();
-        for &(vertex, rep) in representatives.iter() {
-            let rep_budget = hcs_budget(sharing, rep);
+        for &(vertex, rep) in &representatives {
+            let rep_budget = hcs(sharing, rep).budget;
             for &next in graph.neighbors(vertex, dir) {
                 if useful[next.index() / 64] & (1 << (next.index() % 64)) == 0 {
                     continue;
@@ -198,7 +193,7 @@ fn detect_common_queries_in(
                     let offset = rep_budget - (remaining - 1);
                     // A refused edge would have created a cycle: keep extending instead.
                     if provider != rep
-                        && hcs_budget(sharing, provider) >= remaining - 1
+                        && hcs(sharing, provider).covers_budget(remaining - 1)
                         && sharing.add_dependency(provider, rep, offset)
                     {
                         outcome.reuse_edges += 1;
@@ -209,7 +204,7 @@ fn detect_common_queries_in(
             }
         }
 
-        std::mem::swap(active, next_active);
+        std::mem::swap(&mut active, &mut next_active);
         remaining -= 1;
         if active.is_empty() && pending[..=remaining as usize].iter().all(Vec::is_empty) {
             break;
@@ -219,13 +214,12 @@ fn detect_common_queries_in(
     outcome
 }
 
-/// The budget of a node the simulation handles; those are all HC-s path queries.
-fn hcs_budget(sharing: &SharingGraph, node: NodeId) -> u32 {
+/// A node the simulation handles; those are all HC-s path queries.
+fn hcs(sharing: &SharingGraph, node: NodeId) -> &HcsQuery {
     sharing
         .node(node)
         .as_hcs()
         .expect("active nodes, representatives and providers are HC-s path queries")
-        .budget
 }
 
 /// Detection entry point used by `BatchEnum`: runs both directions for one cluster.
