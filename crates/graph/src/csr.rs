@@ -106,6 +106,102 @@ impl CsrAdjacency {
         }
     }
 
+    /// This adjacency over `num_vertices ≥ self.num_vertices()` vertices with the edges
+    /// `added` spliced in and `removed` taken out: one pass of block copies over the three
+    /// arrays instead of a rebuild from the edge list.
+    ///
+    /// Both edit lists are `(row, target)` pairs sorted ascending; `added` holds only edges
+    /// absent from `self`, `removed` only edges present (the net sets of a
+    /// [`crate::DeltaGraph`]). The degree stored beside each new entry is right on return;
+    /// entries *pointing at* a row whose length changed are not — the caller follows up
+    /// with [`CsrAdjacency::refresh_degrees_of`], which needs the opposite adjacency.
+    pub(crate) fn spliced(
+        &self,
+        num_vertices: usize,
+        added: &[(VertexId, VertexId)],
+        removed: &[(VertexId, VertexId)],
+    ) -> Self {
+        let old_n = self.num_vertices();
+        // Rows past the old vertex count are empty and sit at the end of `targets`.
+        let row_start = |v: usize| self.offsets[v.min(old_n)] as usize;
+        let row_end = |v: usize| row_start(v + 1);
+        // Where each edit lands in the old `targets`: the slot a new target goes in front
+        // of, the slot a removed one occupies. Sorted edits give non-decreasing slots.
+        let slot = |&(u, v): &(VertexId, VertexId)| {
+            let start = row_start(u.index());
+            start + self.targets[start..row_end(u.index())].partition_point(|&t| t < v)
+        };
+        let len = self.targets.len() + added.len() - removed.len();
+        let mut targets = Vec::with_capacity(len);
+        let mut target_degrees = Vec::with_capacity(len);
+        let mut fresh = Vec::with_capacity(added.len());
+        let (mut a, mut r, mut copied) = (0, 0, 0);
+        loop {
+            // A new target sorts before the old one in its slot, so on a tie it goes first.
+            let (upto, adding) = match (added.get(a).map(slot), removed.get(r).map(slot)) {
+                (Some(add), Some(remove)) if add <= remove => (add, true),
+                (Some(add), None) => (add, true),
+                (_, Some(remove)) => (remove, false),
+                (None, None) => break,
+            };
+            targets.extend_from_slice(&self.targets[copied..upto]);
+            target_degrees.extend_from_slice(&self.target_degrees[copied..upto]);
+            copied = upto;
+            if adding {
+                fresh.push(targets.len());
+                targets.push(added[a].1);
+                target_degrees.push(0);
+                a += 1;
+            } else {
+                copied += 1;
+                r += 1;
+            }
+        }
+        targets.extend_from_slice(&self.targets[copied..]);
+        target_degrees.extend_from_slice(&self.target_degrees[copied..]);
+
+        let mut offsets = Vec::with_capacity(num_vertices + 1);
+        offsets.push(0u64);
+        let (mut a, mut r) = (0, 0);
+        for v in 0..num_vertices {
+            while added.get(a).is_some_and(|e| e.0.index() == v) {
+                a += 1;
+            }
+            while removed.get(r).is_some_and(|e| e.0.index() == v) {
+                r += 1;
+            }
+            offsets.push((row_end(v) + a - r) as u64);
+        }
+        for at in fresh {
+            let t = targets[at].index();
+            target_degrees[at] = (offsets[t + 1] - offsets[t]) as u32;
+        }
+        CsrAdjacency {
+            offsets,
+            targets,
+            target_degrees,
+        }
+    }
+
+    /// Re-reads the degree of every vertex in `rows` into the entries pointing at it.
+    /// `opposite` is the same graph's other direction: its row for `u` lists exactly the
+    /// rows of `self` that contain `u`.
+    pub(crate) fn refresh_degrees_of(
+        &mut self,
+        rows: impl Iterator<Item = VertexId>,
+        opposite: &CsrAdjacency,
+    ) {
+        for u in rows {
+            let degree = self.degree(u) as u32;
+            for &x in opposite.neighbors(u) {
+                let start = self.offsets[x.index()] as usize;
+                if let Ok(i) = self.neighbors(x).binary_search(&u) {
+                    self.target_degrees[start + i] = degree;
+                }
+            }
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

@@ -4,11 +4,10 @@
 //! what makes the enumeration hot path allocation-free. Real serving graphs change while
 //! queries flow, so mutation is staged in a [`DeltaGraph`]: edge insertions and deletions
 //! accumulate in a sorted overlay on top of an untouched base CSR, queries against the
-//! overlay merge the two views, and [`DeltaGraph::compact`] periodically folds the overlay
-//! back into a fresh CSR via the existing [`GraphBuilder`]. The overlay is the *staging*
-//! structure; enumeration always runs on a compacted snapshot.
+//! overlay merge the two views, and [`DeltaGraph::compact`] folds the overlay back into a
+//! fresh CSR by splicing the net edits into a copy of the base's arrays. The overlay is
+//! the *staging* structure; enumeration always runs on a compacted snapshot.
 
-use crate::builder::GraphBuilder;
 use crate::digraph::{DiGraph, Direction};
 use crate::vertex::VertexId;
 use std::collections::BTreeSet;
@@ -66,7 +65,7 @@ impl std::fmt::Display for GraphUpdate {
 /// then delete of the same absent edge leaves the overlay untouched), so
 /// [`DeltaGraph::added_edges`] / [`DeltaGraph::removed_edges`] are exactly the edge sets
 /// an index-maintenance pass has to look at. Insertions may reference vertices beyond the
-/// base vertex count; the vertex space grows like [`GraphBuilder`]'s does.
+/// base vertex count; the vertex space grows like [`crate::GraphBuilder`]'s does.
 ///
 /// # Example
 ///
@@ -255,28 +254,16 @@ impl DeltaGraph {
         })
     }
 
-    /// Folds the overlay into a fresh immutable CSR snapshot via [`GraphBuilder`].
+    /// Folds the overlay into a fresh immutable CSR snapshot: the base's arrays copied
+    /// once with the net edits spliced in, so a one-edge update costs a copy of the graph,
+    /// not a rebuild of it.
     ///
     /// The overlay itself is untouched; callers that want to keep mutating on top of the
     /// new snapshot use [`DeltaGraph::rebase`].
     pub fn compact(&self) -> DiGraph {
-        if !self.is_dirty() {
-            return (*self.base).clone();
-        }
-        let mut builder = GraphBuilder::with_capacity(
-            self.num_vertices,
-            self.base.num_edges() + self.added.len(),
-        );
-        builder.reserve_vertices(self.num_vertices);
-        for (u, v) in self.base.edges() {
-            if !self.removed.contains(&(u, v)) {
-                builder.add_edge(u, v);
-            }
-        }
-        for &(u, v) in &self.added {
-            builder.add_edge(u, v);
-        }
-        builder.build()
+        let added: Vec<_> = self.added_edges().collect();
+        let removed: Vec<_> = self.removed_edges().collect();
+        self.base.patched(self.num_vertices, &added, &removed)
     }
 
     /// Compacts and adopts the result as the new base, clearing the overlay. Returns the
@@ -380,6 +367,41 @@ mod tests {
             d.edges().collect::<Vec<_>>(),
             compacted.edges().collect::<Vec<_>>()
         );
+    }
+
+    /// The splice against the rebuild it replaced, arrays and inline degrees included
+    /// (`DiGraph: PartialEq` compares all of them): random graphs with self loops and
+    /// empty rows, random toggles that also grow the vertex space, compacted after every
+    /// few so both one-edge and many-edge overlays occur.
+    #[test]
+    fn compact_equals_a_rebuild_from_the_edited_edge_list() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(20);
+        for case in 0..60 {
+            let n = rng.gen_range(1..12u32);
+            let edges: Vec<(u32, u32)> = (0..rng.gen_range(0..40))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let mut d = DeltaGraph::new(DiGraph::from_edge_list(n as usize, &edges).unwrap());
+            for step in 0..30 {
+                let (a, b) = (v(rng.gen_range(0..n + 3)), v(rng.gen_range(0..n + 3)));
+                if d.has_edge(a, b) {
+                    d.delete_edge(a, b);
+                } else {
+                    d.insert_edge(a, b);
+                }
+                if rng.gen_bool(0.4) {
+                    let mut builder = crate::GraphBuilder::new();
+                    builder.reserve_vertices(d.num_vertices());
+                    builder.extend_edges(d.edges());
+                    assert_eq!(d.compact(), builder.build(), "case {case}, step {step}");
+                    if rng.gen_bool(0.5) {
+                        d.rebase();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -107,6 +107,29 @@ impl DiGraph {
         }
     }
 
+    /// This graph over `num_vertices` vertices after the net edits of a
+    /// [`crate::DeltaGraph`] — `added` edges absent here, `removed` edges present here, both
+    /// sorted by `(u, v)` — equal to rebuilding from the edited edge list, at the cost of
+    /// copying the arrays once.
+    pub(crate) fn patched(
+        &self,
+        num_vertices: usize,
+        added: &[(VertexId, VertexId)],
+        removed: &[(VertexId, VertexId)],
+    ) -> Self {
+        let flipped = |edges: &[(VertexId, VertexId)]| {
+            let mut flipped: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
+            flipped.sort_unstable();
+            flipped
+        };
+        let (added_in, removed_in) = (flipped(added), flipped(removed));
+        let mut out = self.out.spliced(num_vertices, added, removed);
+        let mut inn = self.inn.spliced(num_vertices, &added_in, &removed_in);
+        out.refresh_degrees_of(added.iter().chain(removed).map(|e| e.0), &inn);
+        inn.refresh_degrees_of(added_in.iter().chain(&removed_in).map(|e| e.0), &out);
+        DiGraph::from_parts(out, inn)
+    }
+
     /// Number of vertices `|V|`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
