@@ -296,7 +296,7 @@ impl BatchEnum {
     /// `buffers.stack` holds the current prefix, mirrored by `buffers.marks`.
     ///
     /// The per-anchor slack constraints are resolved to [`AnchorDistances`] views once
-    /// per materialisation, so the usefulness test probes each anchor's sparse map
+    /// per materialisation, so the usefulness test probes each anchor's distance row
     /// directly instead of binary-searching the index root table per `(edge, anchor)`
     /// pair. Provider splicing happens at candidate-take, before descending.
     ///
@@ -387,9 +387,9 @@ impl BatchEnum {
     /// degree)` sort key of every survivor.
     ///
     /// Candidates are arranged against the *first* anchor only (the sort is a heuristic,
-    /// not a correctness condition), so the key distance is taken from the first slack
-    /// view unconditionally — a candidate admitted via a later anchor may key at `INF`
-    /// and sort last.
+    /// not a correctness condition), so the key distance is the first slack view's
+    /// whichever anchor admitted the candidate — one admitted via a later anchor may key
+    /// at `INF` and sort last.
     fn fill_shared_level(
         &self,
         graph: &DiGraph,
@@ -406,14 +406,13 @@ impl BatchEnum {
         let degrees = graph.neighbor_degrees(last, hcs.direction);
         for (&w, &deg) in neighbors.iter().zip(degrees) {
             counters.scanned_edges += 1;
-            if !Self::is_useful_views(slack_views, w, new_len) {
+            let Some(key_dist) = Self::useful_key_dist(slack_views, w, new_len) else {
                 counters.pruned_edges += 1;
                 continue;
-            }
+            };
             if buffers.marks.contains(w) {
                 continue;
             }
-            let key_dist = slack_views.first().map_or(0, |(_, view)| view.dist(w));
             buffers.candidates.push(w);
             buffers.cand_keys.push((key_dist, deg));
         }
@@ -434,18 +433,27 @@ impl BatchEnum {
     /// Lemma 3.1 pruning generalised to a shared HC-s path query: an extension to `w` of
     /// `new_len` hops is useful when at least one dependent HC-s-t query can still complete
     /// a path through it within its own hop constraint.
-    fn is_useful_views(
+    ///
+    /// Returns `None` for a useless extension, otherwise the distance from `w` to the
+    /// *first* anchor — the candidate's sort key, read here because the test probes that
+    /// anchor first anyway (`0` when there are no constraints at all).
+    fn useful_key_dist(
         slack_views: &[(u32, hcsp_index::AnchorDistances<'_>)],
         w: VertexId,
         new_len: u32,
-    ) -> bool {
-        if slack_views.is_empty() {
-            return true;
-        }
-        slack_views.iter().any(|&(slack, view)| {
-            let dist = view.dist(w);
+    ) -> Option<u32> {
+        let within = |slack: u32, dist: u32| {
             dist != hcsp_index::INF && new_len.saturating_add(dist) <= slack
-        })
+        };
+        let Some((&(first_slack, first_view), rest)) = slack_views.split_first() else {
+            return Some(0);
+        };
+        let key_dist = first_view.dist(w);
+        let useful = within(first_slack, key_dist)
+            || rest
+                .iter()
+                .any(|&(slack, view)| within(slack, view.dist(w)));
+        useful.then_some(key_dist)
     }
 
     /// Answers one HC-s-t query by joining the cached results of its two half queries

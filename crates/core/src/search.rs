@@ -104,9 +104,9 @@ impl<'a> SearchContext<'a> {
     ///
     /// `buffers.levels` is the explicit DFS stack: each [`LevelRun`] owns one contiguous
     /// candidate range of the arena, descending pushes a run, and exhausting one
-    /// truncates the arena back and backtracks the prefix. The anchor's sparse distance
-    /// map is resolved *once* here and probed directly inside the fill pass, so the
-    /// per-edge cost is a map probe plus two sequential array reads (CSR targets + inline
+    /// truncates the arena back and backtracks the prefix. The anchor's distance row is
+    /// resolved *once* here and probed directly inside the fill pass, so the per-edge
+    /// cost is a row probe plus two sequential array reads (CSR targets + inline
     /// degrees). A non-`Continue` verdict from `visit` returns immediately; the arena and
     /// level stack are left dirty and repaired by the next
     /// [`SearchBuffers::begin_traversal`](crate::buffers::SearchBuffers).

@@ -11,8 +11,8 @@
 //! sets are the hop-constrained neighbourhoods Γ(q) / Γr(q) reused for query clustering
 //! (Def. 4.4): the index is built once per batch and shared by every downstream stage.
 
+use crate::distance_row::DistanceRow;
 use crate::msbfs::multi_source_bfs;
-use crate::sparse_map::SparseDistanceMap;
 use crate::INF;
 use hcsp_graph::{DiGraph, Direction, VertexId};
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ impl DeleteOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct DistanceIndex {
     roots: Vec<VertexId>,
-    maps: Vec<SparseDistanceMap>,
+    maps: Vec<DistanceRow>,
     bound: u32,
     /// Roots whose maps may be stale after edge deletions, sorted ascending. Keyed by
     /// vertex id (not position) so the set survives the root reordering of `extend`.
@@ -259,7 +259,7 @@ impl DistanceIndex {
         let added = result.roots.len();
         let old_roots = std::mem::take(&mut self.roots);
         let old_maps = std::mem::take(&mut self.maps);
-        let mut merged: Vec<(VertexId, SparseDistanceMap)> = old_roots
+        let mut merged: Vec<(VertexId, DistanceRow)> = old_roots
             .into_iter()
             .zip(old_maps)
             .chain(result.roots.into_iter().zip(result.maps))
@@ -289,7 +289,7 @@ impl DistanceIndex {
         self.roots.len()
     }
 
-    /// The sparse distance map of `root`, if `root` is indexed.
+    /// The distance row of `root`, if `root` is indexed.
     ///
     /// # Panics (debug builds)
     ///
@@ -298,7 +298,7 @@ impl DistanceIndex {
     /// Lemma 3.1 pruning bound. Every read path (`distance`, `neighborhood`, and the
     /// engine's O(1) `Exists` probe) funnels through here, so the unsafe window is
     /// enforced rather than merely documented.
-    pub fn map_of(&self, root: VertexId) -> Option<&SparseDistanceMap> {
+    pub fn map_of(&self, root: VertexId) -> Option<&DistanceRow> {
         debug_assert!(
             self.dirty.binary_search(&root).is_err(),
             "DistanceIndex read for root {root} inside the note_deletions -> flush_dirty \
@@ -330,17 +330,13 @@ impl DistanceIndex {
 
     /// Total number of `(root, vertex)` entries stored.
     pub fn total_entries(&self) -> usize {
-        self.maps.iter().map(SparseDistanceMap::len).sum()
+        self.maps.iter().map(DistanceRow::len).sum()
     }
 
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.roots.len() * std::mem::size_of::<VertexId>()
-            + self
-                .maps
-                .iter()
-                .map(SparseDistanceMap::heap_bytes)
-                .sum::<usize>()
+            + self.maps.iter().map(DistanceRow::heap_bytes).sum::<usize>()
     }
 }
 
@@ -356,14 +352,14 @@ pub struct IndexStats {
     pub stored_entries: usize,
 }
 
-/// A distance view pre-resolved to one anchor's sparse map; see
+/// A distance view pre-resolved to one anchor's [`DistanceRow`]; see
 /// [`BatchIndex::anchor_view`].
 ///
 /// `None` means the anchor is not indexed (every distance is `INF`), which happens only
 /// for queries whose endpoints were absent from the batch the index was built for.
 #[derive(Debug, Clone, Copy)]
 pub struct AnchorDistances<'a> {
-    map: Option<&'a SparseDistanceMap>,
+    map: Option<&'a DistanceRow>,
 }
 
 impl AnchorDistances<'_> {
@@ -421,9 +417,9 @@ impl BatchIndex {
     /// search towards source `anchor` reads `dist_G(anchor, v)`.
     ///
     /// A half search queries the *same* anchor for every scanned edge; resolving the
-    /// anchor's sparse map once per traversal replaces the per-edge root binary search
-    /// with a direct map probe. The view borrows the index, so it naturally cannot
-    /// outlive an index mutation.
+    /// anchor's row once per traversal replaces the per-edge root binary search with a
+    /// direct row probe (one byte load when the row is dense). The view borrows the index,
+    /// so it naturally cannot outlive an index mutation.
     #[inline]
     pub fn anchor_view(&self, dir: Direction, anchor: VertexId) -> AnchorDistances<'_> {
         let map = match dir {

@@ -14,8 +14,9 @@
 //!
 //! * [`msbfs::multi_source_bfs`] — the raw bit-parallel traversal, processing up to 64
 //!   roots per machine word.
-//! * [`DistanceIndex`] — the per-root sparse distance maps the enumeration algorithms
-//!   query (`dist(root, v) ≤ k_max` entries only; everything else is implicitly ∞), plus
+//! * [`DistanceIndex`] — the per-root [`DistanceRow`]s the enumeration algorithms query
+//!   (`dist(root, v) ≤ k_max` entries only; everything else is implicitly ∞; one byte per
+//!   vertex where a root reaches much of the graph, sorted pairs where it does not), plus
 //!   the hop-constrained neighbourhoods Γ/Γr reused by query clustering (Def. 4.4:
 //!   "we do not need to compute Γ(q) and Γr(q) specialized for query clustering as these
 //!   vertices have been explored during the procedure of the index construction").
@@ -24,12 +25,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod distance_index;
+pub mod distance_row;
 pub mod msbfs;
-pub mod sparse_map;
 
 pub use distance_index::{AnchorDistances, BatchIndex, DeleteOutcome, DistanceIndex, IndexStats};
+pub use distance_row::DistanceRow;
 pub use msbfs::{multi_source_bfs, MsBfsResult};
-pub use sparse_map::SparseDistanceMap;
 
 /// Distance value meaning "farther than the bound / unreachable" (treated as ∞).
 pub const INF: u32 = u32::MAX;

@@ -6,14 +6,14 @@
 //! BFS *level* for the whole root batch instead of once per root. Roots beyond 64 are
 //! processed in consecutive batches.
 
-use crate::sparse_map::SparseDistanceMap;
+use crate::distance_row::DistanceRow;
 use hcsp_graph::{DiGraph, Direction, VertexId};
 
-/// The per-root sparse distance maps produced by one multi-source BFS run.
+/// The per-root distance rows produced by one multi-source BFS run.
 #[derive(Debug, Clone)]
 pub struct MsBfsResult {
     /// `maps[i]` holds the bounded distances from `roots[i]`.
-    pub maps: Vec<SparseDistanceMap>,
+    pub maps: Vec<DistanceRow>,
     /// The roots, in the order the maps are stored.
     pub roots: Vec<VertexId>,
     /// Total number of (vertex, root) visitation events — the work metric reported by the
@@ -22,8 +22,8 @@ pub struct MsBfsResult {
 }
 
 impl MsBfsResult {
-    /// The distance map of a given root, if that root was part of the run.
-    pub fn map_of(&self, root: VertexId) -> Option<&SparseDistanceMap> {
+    /// The distance row of a given root, if that root was part of the run.
+    pub fn map_of(&self, root: VertexId) -> Option<&DistanceRow> {
         self.roots
             .iter()
             .position(|&r| r == root)
@@ -33,9 +33,9 @@ impl MsBfsResult {
 
 /// Runs a bounded multi-source BFS from `roots` in the given direction.
 ///
-/// Every root obtains its own bounded distance map: `dist(root, v)` for all `v` within
+/// Every root obtains its own bounded distance row: `dist(root, v)` for all `v` within
 /// `max_hops` hops of `root` (hops counted along `dir`). Duplicate roots are allowed and
-/// produce identical (shared BFS, separately stored) maps, because the batch query sets of
+/// produce identical (shared BFS, separately stored) rows, because the batch query sets of
 /// the paper may repeat a source or target vertex across queries.
 pub fn multi_source_bfs(
     graph: &DiGraph,
@@ -43,29 +43,44 @@ pub fn multi_source_bfs(
     dir: Direction,
     max_hops: u32,
 ) -> MsBfsResult {
-    let mut maps: Vec<SparseDistanceMap> = Vec::with_capacity(roots.len());
     let mut visited_pairs = 0usize;
 
-    // Deduplicate roots for the traversal itself; duplicates share the computed map.
+    // Deduplicate roots for the traversal itself; duplicates share the computed row.
     let mut unique_roots: Vec<VertexId> = roots.to_vec();
     unique_roots.sort_unstable();
     unique_roots.dedup();
 
-    let mut unique_maps: Vec<(VertexId, SparseDistanceMap)> =
-        Vec::with_capacity(unique_roots.len());
+    let mut unique_rows: Vec<Option<DistanceRow>> = Vec::with_capacity(unique_roots.len());
     for chunk in unique_roots.chunks(64) {
-        let chunk_maps = ms_bfs_chunk(graph, chunk, dir, max_hops, &mut visited_pairs);
-        unique_maps.extend(chunk.iter().copied().zip(chunk_maps));
+        let rows = ms_bfs_chunk(graph, chunk, dir, max_hops, &mut visited_pairs);
+        unique_rows.extend(rows.into_iter().map(Some));
     }
 
-    for &root in roots {
-        let map = unique_maps
-            .iter()
-            .find(|(r, _)| *r == root)
-            .map(|(_, m)| m.clone())
-            .unwrap_or_default();
-        maps.push(map);
+    // Each row moves out where its root occurs last; an earlier occurrence gets a copy.
+    let slots: Vec<usize> = roots
+        .iter()
+        .map(|root| {
+            unique_roots
+                .binary_search(root)
+                .expect("unique_roots holds every root")
+        })
+        .collect();
+    let mut last_use = vec![0usize; unique_roots.len()];
+    for (i, &slot) in slots.iter().enumerate() {
+        last_use[slot] = i;
     }
+    let maps = slots
+        .iter()
+        .enumerate()
+        .map(|(i, &slot)| {
+            let row = if last_use[slot] == i {
+                unique_rows[slot].take()
+            } else {
+                unique_rows[slot].clone()
+            };
+            row.expect("a row is taken only at its root's last occurrence")
+        })
+        .collect();
     MsBfsResult {
         maps,
         roots: roots.to_vec(),
@@ -73,63 +88,82 @@ pub fn multi_source_bfs(
     }
 }
 
-/// Advances one batch of at most 64 roots.
+/// Advances one batch of at most 64 distinct roots.
+///
+/// The traversal keeps each level's frontier — `(vertex, roots that reached it at this
+/// depth)`, sorted by vertex — instead of a pair list per root. Once it ends, every root's
+/// entry count and largest id are known, so each row is laid out in its final form and
+/// filled by one pass over the levels: a dense row takes byte stores in whatever order
+/// they come, and only a sparse row is sorted.
 fn ms_bfs_chunk(
     graph: &DiGraph,
     roots: &[VertexId],
     dir: Direction,
     max_hops: u32,
     visited_pairs: &mut usize,
-) -> Vec<SparseDistanceMap> {
+) -> Vec<DistanceRow> {
     debug_assert!(roots.len() <= 64);
     let n = graph.num_vertices();
     let mut seen: Vec<u64> = vec![0; n];
     let mut frontier: Vec<(VertexId, u64)> = Vec::with_capacity(roots.len());
-    let mut collected: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); roots.len()];
-
     for (bit, &root) in roots.iter().enumerate() {
-        let mask = 1u64 << bit;
-        if root.index() >= n {
-            continue;
+        if root.index() < n {
+            seen[root.index()] |= 1u64 << bit;
+            frontier.push((root, 1u64 << bit));
         }
-        if seen[root.index()] & mask == 0 {
-            seen[root.index()] |= mask;
-            collected[bit].push((root, 0));
-            *visited_pairs += 1;
-        }
-        frontier.push((root, mask));
     }
-    // Merge frontier entries that refer to the same vertex (duplicate roots in one chunk).
-    coalesce(&mut frontier);
 
-    let mut depth = 0u32;
-    while !frontier.is_empty() && depth < max_hops {
-        depth += 1;
-        let mut next: Vec<(VertexId, u64)> = Vec::with_capacity(frontier.len());
-        for &(u, mask) in &frontier {
-            for &w in graph.neighbors(u, dir) {
-                let fresh = mask & !seen[w.index()];
-                if fresh != 0 {
-                    seen[w.index()] |= fresh;
-                    next.push((w, fresh));
-                    let mut bits = fresh;
-                    while bits != 0 {
-                        let bit = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        collected[bit].push((w, depth));
-                        *visited_pairs += 1;
+    let mut levels: Vec<Vec<(VertexId, u64)>> = Vec::new();
+    while !frontier.is_empty() {
+        let mut next: Vec<(VertexId, u64)> = Vec::new();
+        if (levels.len() as u32) < max_hops {
+            next.reserve(frontier.len());
+            for &(u, mask) in &frontier {
+                for &w in graph.neighbors(u, dir) {
+                    let fresh = mask & !seen[w.index()];
+                    if fresh != 0 {
+                        seen[w.index()] |= fresh;
+                        next.push((w, fresh));
                     }
                 }
             }
+            coalesce(&mut next);
         }
-        coalesce(&mut next);
-        frontier = next;
+        levels.push(std::mem::replace(&mut frontier, next));
     }
 
-    collected
-        .into_iter()
-        .map(SparseDistanceMap::from_pairs)
-        .collect()
+    // (entries, largest id + 1) per root.
+    let mut extents = vec![(0usize, 0usize); roots.len()];
+    for_each_visit(&levels, |bit, w, _| {
+        let (entries, span) = &mut extents[bit];
+        *entries += 1;
+        *span = (*span).max(w.index() + 1);
+    });
+    let mut rows: Vec<DistanceRow> = extents
+        .iter()
+        .map(|&(entries, span)| {
+            *visited_pairs += entries;
+            DistanceRow::with_layout_for(entries, span, max_hops)
+        })
+        .collect();
+    for_each_visit(&levels, |bit, w, depth| rows[bit].record_new(w, depth));
+    rows.iter_mut().for_each(DistanceRow::finish);
+    rows
+}
+
+/// Calls `visit(root bit, vertex, depth)` for every `(root, vertex)` pair of `levels`,
+/// where `levels[depth]` lists the vertices first reached at `depth` with the roots that
+/// reached them.
+fn for_each_visit(levels: &[Vec<(VertexId, u64)>], mut visit: impl FnMut(usize, VertexId, u32)) {
+    for (depth, level) in levels.iter().enumerate() {
+        for &(w, mask) in level {
+            let mut bits = mask;
+            while bits != 0 {
+                visit(bits.trailing_zeros() as usize, w, depth as u32);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Merges frontier entries sharing a vertex by OR-ing their masks, keeping the frontier

@@ -13,7 +13,7 @@
 use hcsp_graph::generators::regular::{grid, path};
 use hcsp_graph::traversal::{bfs_distances_bounded, UNREACHED};
 use hcsp_graph::{DeltaGraph, DiGraph, Direction, VertexId};
-use hcsp_index::{BatchIndex, DistanceIndex, SparseDistanceMap, INF};
+use hcsp_index::{BatchIndex, DistanceIndex, DistanceRow, INF};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -24,9 +24,8 @@ fn v(x: u32) -> VertexId {
 }
 
 /// A row holding `pairs`, for an index built with hop bound `bound`.
-fn row_of(pairs: &[(VertexId, u32)], bound: u32) -> SparseDistanceMap {
-    debug_assert!(pairs.iter().all(|&(_, d)| d <= bound));
-    SparseDistanceMap::from_pairs(pairs.to_vec())
+fn row_of(pairs: &[(VertexId, u32)], bound: u32) -> DistanceRow {
+    DistanceRow::from_pairs(pairs.to_vec(), bound)
 }
 
 /// The map `row_of` must behave as: the minimum distance per vertex.
@@ -52,7 +51,7 @@ fn probes(oracle: &Oracle) -> Vec<VertexId> {
     ids
 }
 
-fn assert_row_is(row: &SparseDistanceMap, oracle: &Oracle, what: &str) {
+fn assert_row_is(row: &DistanceRow, oracle: &Oracle, what: &str) {
     assert_eq!(row.len(), oracle.len(), "{what}: len");
     assert_eq!(row.is_empty(), oracle.is_empty(), "{what}: is_empty");
     let stored: Vec<(VertexId, u32)> = row.iter().collect();
@@ -95,7 +94,7 @@ fn oracle_insert_min(oracle: &mut Oracle, vertex: VertexId, d: u32) -> bool {
 /// Applies `ops` to row and oracle alike, comparing the return value and the whole
 /// contents after every single operation.
 fn assert_insert_min_sequence(
-    row: &mut SparseDistanceMap,
+    row: &mut DistanceRow,
     oracle: &mut Oracle,
     ops: &[(VertexId, u32)],
     what: &str,
@@ -206,7 +205,7 @@ fn insert_min_on_straddling_rows_matches_the_oracle() {
 
 #[test]
 fn intersection_size_on_straddling_rows_matches_the_oracle() {
-    let rows: Vec<(String, SparseDistanceMap, Oracle)> = straddling_rows()
+    let rows: Vec<(String, DistanceRow, Oracle)> = straddling_rows()
         .into_iter()
         .filter(|(_, _, bound)| *bound != 254)
         .map(|(name, pairs, bound)| (name, row_of(&pairs, bound), oracle_of(&pairs)))

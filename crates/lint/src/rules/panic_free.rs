@@ -13,12 +13,14 @@ use crate::scan::is_call;
 use crate::{Diagnostic, SourceFile};
 
 /// The enumeration hot path: frontier search, prefix concatenation, the arena
-/// buffers they allocate from, and the parallel work-splitting driver.
-const HOT_FILES: [&str; 4] = [
+/// buffers they allocate from, the parallel work-splitting driver, and the
+/// distance row every scanned edge probes (Lemma 3.1).
+pub const HOT_FILES: [&str; 5] = [
     "crates/core/src/search.rs",
     "crates/core/src/concat.rs",
     "crates/core/src/buffers.rs",
     "crates/core/src/parallel.rs",
+    "crates/index/src/distance_row.rs",
 ];
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];

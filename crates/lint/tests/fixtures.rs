@@ -70,6 +70,30 @@ fn every_rule_has_fail_and_pass_fixtures() {
     }
 }
 
+/// The hot-path file list is what scopes L4: a fixture that fails must fail under
+/// every listed path (the distance row's lookup file among them), and must not under
+/// a neighbouring file that is off the list.
+#[test]
+fn panic_free_covers_every_hot_file_and_nothing_else() {
+    let dir = fixtures_root().join(rules::PANIC_FREE_HOT_PATH);
+    let hits = |name: &str, vpath: &str| {
+        let src = fs::read_to_string(dir.join(name)).unwrap();
+        lint_sources(&[SourceFile::new(vpath, &src)])
+            .into_iter()
+            .filter(|d| d.rule == rules::PANIC_FREE_HOT_PATH)
+            .count()
+    };
+    assert!(rules::panic_free::HOT_FILES.contains(&"crates/index/src/distance_row.rs"));
+    for vpath in rules::panic_free::HOT_FILES {
+        assert!(hits("fail_unwrap_index.rs", vpath) >= 1, "{vpath}");
+        assert_eq!(hits("pass_annotated.rs", vpath), 0, "{vpath}");
+    }
+    assert_eq!(
+        hits("fail_unwrap_index.rs", "crates/index/src/distance_index.rs"),
+        0
+    );
+}
+
 /// `dead-counter` needs a definition file, a producer, and a consumer in one
 /// view, so its fixtures are directories of files mapped by name.
 #[test]
