@@ -139,12 +139,10 @@ fn ms_bfs_chunk(
         *entries += 1;
         *span = (*span).max(w.index() + 1);
     });
+    *visited_pairs += extents.iter().map(|&(entries, _)| entries).sum::<usize>();
     let mut rows: Vec<DistanceRow> = extents
         .iter()
-        .map(|&(entries, span)| {
-            *visited_pairs += entries;
-            DistanceRow::with_layout_for(entries, span, max_hops)
-        })
+        .map(|&(entries, span)| DistanceRow::with_layout_for(entries, span, max_hops))
         .collect();
     for_each_visit(&levels, |bit, w, depth| rows[bit].record_new(w, depth));
     rows.iter_mut().for_each(DistanceRow::finish);
