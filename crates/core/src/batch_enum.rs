@@ -151,8 +151,11 @@ impl BatchEnum {
     ) -> SinkFlow {
         // Stage 3: IdentifySubquery.
         let start = Instant::now();
-        let cluster_queries_list: Vec<(QueryId, PathQuery)> =
-            cluster.iter().map(|&qid| (qid, queries[qid])).collect();
+        let cluster_queries_list: Vec<(QueryId, PathQuery)> = cluster
+            .iter()
+            // lint:allow(panic-free-hot-path) clusters partition the ids of `queries`
+            .map(|&qid| (qid, queries[qid]))
+            .collect();
         let mut sharing = SharingGraph::new();
         let outcome = detect_cluster_in(
             graph,
@@ -181,12 +184,16 @@ impl BatchEnum {
             } else {
                 let mut needed = vec![false; sharing.len()];
                 for &node_id in order.iter().rev() {
-                    needed[node_id] = match *sharing.node(node_id) {
+                    let live = match *sharing.node(node_id) {
                         QueryNode::Full(qid) => sink.remaining_quota(qid) != Some(0),
-                        QueryNode::Hcs(_) => {
-                            sharing.users(node_id).iter().any(|&(user, _)| needed[user])
-                        }
+                        QueryNode::Hcs(_) => sharing
+                            .users(node_id)
+                            .iter()
+                            .any(|&(user, _)| needed.get(user) == Some(&true)),
                     };
+                    if let Some(slot) = needed.get_mut(node_id) {
+                        *slot = live;
+                    }
                 }
                 needed
             }
@@ -198,14 +205,16 @@ impl BatchEnum {
         let mut counters = SearchCounters::default();
         let mut batch_flow = SinkFlow::Continue;
         for &node_id in &order {
+            let live = needed.get(node_id) == Some(&true);
             match *sharing.node(node_id) {
-                QueryNode::Hcs(hcs) if needed[node_id] => {
+                QueryNode::Hcs(hcs) if live => {
                     let paths = self.materialize_node(
                         graph,
                         index,
                         &sharing,
                         node_id,
                         hcs,
+                        // lint:allow(panic-free-hot-path) anchor_slacks returns one entry per Ψ node
                         &slacks[node_id],
                         &cache,
                         &mut counters,
@@ -213,11 +222,12 @@ impl BatchEnum {
                     );
                     cache.insert(node_id, paths, sharing.users(node_id).len());
                 }
-                QueryNode::Full(qid) if needed[node_id] => {
+                QueryNode::Full(qid) if live => {
                     let flow = self.answer_query(
                         &sharing,
                         node_id,
                         qid,
+                        // lint:allow(panic-free-hot-path) Ψ's full nodes are the cluster's ids, which index `queries`
                         &queries[qid],
                         &cache,
                         sink,
@@ -330,6 +340,7 @@ impl BatchEnum {
                 return;
             };
             if top.cursor < top.end {
+                // lint:allow(panic-free-hot-path) cursor < end <= candidates.len(): runs index the arena
                 let w = buffers.candidates[top.cursor];
                 top.cursor += 1;
                 // The stack tail is this level's owner, so its length gives the hop
@@ -338,8 +349,11 @@ impl BatchEnum {
                 let remaining_after = hcs.budget - current_hops - 1;
                 // Splice the cached results of a provider rooted at w when its budget
                 // covers everything this prefix still needs (Alg. 4 lines 22-23).
-                if let Ok(slot) = providers_by_root.binary_search_by_key(&w, |&(root, _, _)| root) {
-                    let (_, provider, provider_query) = providers_by_root[slot];
+                let provider = providers_by_root
+                    .binary_search_by_key(&w, |&(root, _, _)| root)
+                    .ok()
+                    .and_then(|slot| providers_by_root.get(slot));
+                if let Some(&(_, provider, provider_query)) = provider {
                     if provider_query.covers_budget(remaining_after) {
                         if let Some(cached) = cache.get(provider) {
                             counters.cache_splices += 1;
@@ -370,13 +384,16 @@ impl BatchEnum {
                     buffers.stack.pop();
                 }
             } else {
-                let run = buffers.levels.pop().expect("checked non-empty above");
+                let Some(run) = buffers.levels.pop() else {
+                    return;
+                };
                 buffers.candidates.truncate(run.start);
                 buffers.cand_keys.truncate(run.start);
+                // The root owns the outermost level but stays on the stack.
                 if !buffers.levels.is_empty() {
-                    let owner = *buffers.stack.last().expect("prefix never empty");
-                    buffers.marks.unmark(owner);
-                    buffers.stack.pop();
+                    if let Some(owner) = buffers.stack.pop() {
+                        buffers.marks.unmark(owner);
+                    }
                 }
             }
         }
@@ -399,6 +416,7 @@ impl BatchEnum {
         buffers: &mut SearchBuffers,
         counters: &mut SearchCounters,
     ) {
+        // lint:allow(panic-free-hot-path) fill_shared_level is only called with the root already pushed
         let last = *buffers.stack.last().expect("prefix never empty");
         let start = buffers.candidates.len();
         let new_len = current_hops + 1;

@@ -16,8 +16,8 @@
 //!   ever append after the current level's range, so no per-level allocation is needed.
 //! * **Half-search path sets** — the forward/backward prefix sets of a query, cleared
 //!   (capacity retained) between queries instead of reallocated.
-//! * **Join scratch** — the bucketed join-vertex table and the assembly buffer of the
-//!   `⊕` concatenation (see [`JoinScratch`]).
+//! * **Join scratch** — the bucketed join-vertex table, its per-vertex slot table and the
+//!   assembly buffer of the `⊕` concatenation (see [`JoinScratch`]).
 //!
 //! Buffers are deliberately `!Sync`-by-use: every worker thread owns its own
 //! `SearchBuffers`, which is what the cluster-sharded parallel executor
@@ -78,15 +78,23 @@ impl VisitMarks {
 ///
 /// The join indexes the backward prefix set by its end (join) vertex. A per-call hash map
 /// would pay an allocation per bucket; the scratch instead keeps a CSR-style bucket table
-/// built once per backward set: the sorted distinct end vertices, one contiguous run of
-/// `(path index, hops)` entries per end vertex, and offsets delimiting the runs. A
-/// forward prefix then binary-searches `ends` once and sweeps its run without any
-/// per-candidate comparisons or suffix-length fetches. All buffers are reused across
-/// joins; only capacity growth ever allocates.
+/// built once per backward set: one contiguous run of `(path index, hops)` entries per
+/// end vertex, offsets delimiting the runs, and a flat per-vertex slot table naming each
+/// vertex's bucket. A forward prefix finds its run with one bounds-checked load into
+/// `slots` and sweeps it without any per-candidate comparisons or suffix-length fetches.
+///
+/// Like [`VisitMarks`], `slots` grows lazily — up to the largest end vertex seen, not
+/// to the graph — and is never wiped: preparing a backward set first clears the slots of
+/// the previous set's `ends` only, so a join costs what its halves hold, not `|V|`. All
+/// buffers are reused across joins; only capacity growth ever allocates.
 #[derive(Debug, Default, Clone)]
 pub struct JoinScratch {
-    /// Sorted distinct end (join) vertices of the prepared backward set.
+    /// Distinct end (join) vertices of the prepared backward set, ascending; end `i` owns
+    /// bucket `i + 1`.
     pub(crate) ends: Vec<VertexId>,
+    /// Bucket per vertex id. Bucket 0 is the empty run: every vertex that ends no
+    /// backward path holds 0, and so, implicitly, does every vertex past the table.
+    pub(crate) slots: Vec<u32>,
     /// CSR offsets into `entries`: bucket `b` spans `entries[offsets[b]..offsets[b + 1]]`.
     pub(crate) offsets: Vec<u32>,
     /// `(backward path index, backward hops)` entries, bucket by bucket; index-ascending

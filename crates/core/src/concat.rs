@@ -14,6 +14,18 @@
 //! {0, 1}`. Every valid result path has such a split within the budgets `⌈k/2⌉ / ⌊k/2⌋`,
 //! and it has only one.
 //!
+//! ## Cost per candidate
+//!
+//! The backward side is indexed once per join into a bucket table (see [`JoinScratch`]):
+//! a forward prefix finds its bucket with one load from a per-vertex slot table. The
+//! simplicity test then compares the two halves, not the joined path: both halves must
+//! hold only simple paths — every in-repo producer guarantees it, the DFS through its
+//! visited marks and Algorithm 4's splice through its `marks.contains` filter, and debug
+//! builds assert it as each path enters a join — so a candidate repeats a vertex exactly when the
+//! suffix's tail (the suffix without the join vertex) meets the prefix's body (the prefix
+//! without it). That is at most `⌈k/2⌉·⌊k/2⌋` compares, and only accepted paths are
+//! assembled.
+//!
 //! ## Streaming form
 //!
 //! [`concatenate_scratch`] is the batch form: both halves fully materialised, then
@@ -44,32 +56,51 @@ pub struct JoinStats {
 }
 
 /// Indexes the backward prefix set for joining: builds the scratch's CSR-style bucket
-/// table — sorted distinct end vertices, and per end vertex one contiguous run of
-/// `(path index, hops)` entries, index-ascending (which pins the emission order).
+/// table — per distinct end vertex one contiguous run of `(path index, hops)` entries,
+/// index-ascending (which pins the emission order), and that vertex's slot pointing at
+/// it. The slots of the previously prepared set are cleared first, through its end list.
 ///
 /// Precomputing the hop count per entry lets [`join_prefix`] sweep a bucket without
-/// touching the suffix storage for candidates the split test rejects.
+/// touching the suffix storage for candidates the split test rejects. Every path of
+/// `backward` must be simple (checked in debug builds).
 pub fn prepare_suffixes(backward: &PathSet, scratch: &mut JoinScratch) {
     let JoinScratch {
         ends,
+        slots,
         offsets,
         entries,
         pairs,
         ..
     } = scratch;
+    for end in ends.drain(..) {
+        // lint:allow(panic-free-hot-path) the preparation that pushed `end` sized slots past it; slots never shrinks
+        slots[end.index()] = 0;
+    }
     pairs.clear();
     for (idx, suffix) in backward.iter().enumerate() {
+        debug_assert!(
+            vertices_are_distinct(suffix),
+            "the backward half holds a non-simple path {suffix:?}"
+        );
         // lint:allow(panic-free-hot-path) PathSet stores no empty paths: every entry has a last vertex
         let join_vertex = *suffix.last().expect("paths are non-empty");
         pairs.push((join_vertex, idx as u32));
     }
     pairs.sort_unstable();
-    ends.clear();
+    if let Some(&(largest, _)) = pairs.last() {
+        if slots.len() <= largest.index() {
+            slots.resize(largest.index() + 1, 0);
+        }
+    }
     offsets.clear();
     entries.clear();
+    // Bucket 0, the empty run unindexed vertices resolve to, ends where bucket 1 starts.
+    offsets.push(0);
     for &(end, idx) in pairs.iter() {
         if ends.last() != Some(&end) {
             ends.push(end);
+            // lint:allow(panic-free-hot-path) slots was sized past the largest end above
+            slots[end.index()] = ends.len() as u32;
             offsets.push(entries.len() as u32);
         }
         let hops = (backward.get(idx as usize).len() - 1) as u32;
@@ -80,6 +111,9 @@ pub fn prepare_suffixes(backward: &PathSet, scratch: &mut JoinScratch) {
 
 /// Joins one forward prefix against a backward set prepared by [`prepare_suffixes`],
 /// emitting every canonical, simple, in-budget joined path.
+///
+/// `prefix` and every path of `backward` must be simple: the simplicity test compares
+/// the two halves against each other only (the prefix is checked in debug builds).
 ///
 /// `emit` returns a [`SinkFlow`] verdict; the first non-`Continue` verdict aborts the
 /// remaining candidates of this prefix and is returned to the caller (which typically
@@ -96,21 +130,28 @@ where
     F: FnMut(&[VertexId]) -> SinkFlow,
 {
     let JoinScratch {
-        ends,
+        slots,
         offsets,
         entries,
         assembled,
         ..
     } = scratch;
-    // lint:allow(panic-free-hot-path) the DFS always passes a prefix with at least the source vertex
-    let join_vertex = *prefix.last().expect("paths are non-empty");
-    let Ok(bucket) = ends.binary_search(&join_vertex) else {
+    let Some((&join_vertex, body)) = prefix.split_last() else {
         return SinkFlow::Continue;
     };
-    // lint:allow(panic-free-hot-path) bucket < ends.len() = offsets.len() - 1; offsets delimit entries
-    let run = &entries[offsets[bucket] as usize..offsets[bucket + 1] as usize];
+    debug_assert!(
+        vertices_are_distinct(prefix),
+        "the forward half holds a non-simple path {prefix:?}"
+    );
+    let bucket = slots.get(join_vertex.index()).map_or(0, |&b| b as usize);
+    let Some(&[start, end]) = offsets.get(bucket..bucket + 2) else {
+        return SinkFlow::Continue;
+    };
+    let Some(run) = entries.get(start as usize..end as usize) else {
+        return SinkFlow::Continue;
+    };
     stats.candidate_pairs += run.len();
-    let forward_hops = (prefix.len() - 1) as u32;
+    let forward_hops = body.len() as u32;
     for &(suffix_idx, backward_hops) in run {
         let total = forward_hops + backward_hops;
         // `fwd − bwd ∈ {0, 1}` as a single unsigned compare: a wrapped (negative)
@@ -120,17 +161,20 @@ where
             stats.rejected_split += 1;
             continue;
         }
-        let suffix = backward.get(suffix_idx as usize);
-        assembled.clear();
-        assembled.extend_from_slice(prefix);
-        // The suffix is oriented from t towards the join vertex; skip the shared join
-        // vertex and append the rest reversed.
-        // lint:allow(panic-free-hot-path) suffix.len() >= 1 (no empty paths), so the range end is in bounds
-        assembled.extend(suffix[..suffix.len() - 1].iter().rev().copied());
-        if !vertices_are_distinct(assembled) {
+        // The suffix is oriented from t towards the join vertex, so its first
+        // `backward_hops` vertices are its tail. Both halves are simple, so only the tail
+        // and the prefix's body can share a vertex.
+        let tail = backward
+            .get(suffix_idx as usize)
+            .get(..backward_hops as usize)
+            .unwrap_or_default();
+        if tail.iter().any(|v| body.contains(v)) {
             stats.rejected_not_simple += 1;
             continue;
         }
+        assembled.clear();
+        assembled.extend_from_slice(prefix);
+        assembled.extend(tail.iter().rev().copied());
         stats.produced += 1;
         let flow = emit(assembled);
         if !flow.is_continue() {
@@ -147,9 +191,11 @@ where
 ///   reversal is the suffix of the result path.
 /// * `hop_limit` — the query's hop constraint `k`.
 ///
-/// Every produced path starts at `s`, ends at `t`, is simple, and has at most `hop_limit`
-/// hops. Paths are emitted through `emit`, which receives the full vertex sequence (and
-/// cannot terminate the join early — see [`concatenate_scratch`] for that).
+/// Both sets must hold only simple paths (checked in debug builds); the join tests
+/// simplicity half against half and would pass a repeat inside one half through. Given
+/// that, every produced path starts at `s`, ends at `t`, is simple, and has at most
+/// `hop_limit` hops. Paths are emitted through `emit`, which receives the full vertex
+/// sequence (and cannot terminate the join early — see [`concatenate_scratch`] for that).
 pub fn concatenate_with<F>(
     forward: &PathSet,
     backward: &PathSet,
@@ -172,8 +218,10 @@ where
 /// sink has everything it needs for this query).
 ///
 /// The backward side is indexed once into a CSR-style bucket table keyed by end vertex;
-/// each forward prefix then binary-searches its join-vertex bucket and sweeps one
-/// contiguous run, in the forward set's insertion (= DFS discovery) order.
+/// each forward prefix then reads its bucket from the per-vertex slot table with one load
+/// and sweeps one contiguous run, in the forward set's insertion (= DFS discovery) order,
+/// rejecting a candidate whose suffix tail meets the prefix body before assembling it.
+/// As for [`concatenate_with`], both sets must hold only simple paths.
 pub fn concatenate_scratch<F>(
     forward: &PathSet,
     backward: &PathSet,

@@ -12,11 +12,13 @@ use crate::lexer::Tok;
 use crate::scan::is_call;
 use crate::{Diagnostic, SourceFile};
 
-/// The enumeration hot path: frontier search, prefix concatenation, the arena
-/// buffers they allocate from, the parallel work-splitting driver, and the
-/// distance row every scanned edge probes (Lemma 3.1).
-pub const HOT_FILES: [&str; 5] = [
+/// The enumeration hot path: frontier search and its shared form (Algorithm 4's
+/// `Search` and per-query join), prefix concatenation, the arena buffers they
+/// allocate from, the parallel work-splitting driver, and the distance row every
+/// scanned edge probes (Lemma 3.1).
+pub const HOT_FILES: [&str; 6] = [
     "crates/core/src/search.rs",
+    "crates/core/src/batch_enum.rs",
     "crates/core/src/concat.rs",
     "crates/core/src/buffers.rs",
     "crates/core/src/parallel.rs",
