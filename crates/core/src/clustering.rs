@@ -55,7 +55,7 @@ pub fn cluster_queries(matrix: &SimilarityMatrix, gamma: f64) -> Clusters {
     clusters
 }
 
-/// Convenience: the size distribution of a clustering (used by experiment reports).
+/// Convenience: the size distribution of a clustering.
 pub fn cluster_sizes(clusters: &Clusters) -> Vec<usize> {
     let mut sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
     sizes.sort_unstable_by(|a, b| b.cmp(a));

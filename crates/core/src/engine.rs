@@ -2,8 +2,8 @@
 //!
 //! The engine wraps the five algorithms compared throughout the paper's evaluation
 //! (`PathEnum`, `BasicEnum`, `BasicEnum+`, `BatchEnum`, `BatchEnum+`) behind one entry
-//! point, so examples, integration tests, and the experiment harness all drive the exact
-//! same code paths.
+//! point, so examples, integration tests, and the benchmark all drive the exact same
+//! code paths.
 
 use crate::basic_enum::BasicEnum;
 use crate::batch_enum::{BatchEnum, DEFAULT_GAMMA};
@@ -21,13 +21,12 @@ use crate::spec::{QuerySpec, ResultMode, RoutedSink, SpecOutcome, SpecSink};
 use crate::stats::{EnumStats, Stage};
 use hcsp_graph::{DeltaGraph, DiGraph, GraphUpdate};
 use hcsp_index::BatchIndex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The algorithms evaluated in the paper (§V "Algorithms").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// State-of-the-art single-query algorithm, one isolated run per query.
     PathEnum,
@@ -324,7 +323,7 @@ fn run_specs_with_index(
 /// A one-shot [`BatchEngine`] run rebuilds the batch index from scratch every time; the
 /// serving regime amortises that cost, and these counters make the amortisation visible
 /// (they feed the service-mode throughput reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexReuse {
     /// Full index builds: the first batch, plus every batch whose hop bound exceeded the
     /// cached index's bound.
@@ -357,7 +356,7 @@ pub struct IndexReuse {
 }
 
 /// What one [`Engine::apply_updates`] call did to the graph and the cached index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateSummary {
     /// Updates that changed the graph (inserts of absent edges, deletes of present ones).
     pub applied: usize,
@@ -531,22 +530,11 @@ impl Engine {
         self.index_root_cap
     }
 
-    /// Selects the intra-cluster work-splitting policy of the *parallel* run paths (see
-    /// [`ParallelBatchEnum::split`](ParallelBatchEnum)): oversized clusters split into
-    /// bounded sub-clusters, trading cross-split sharing for parallel slack and a
-    /// bounded shared cache. [`SplitPolicy::Never`] (default) never splits; sequential
-    /// runs are unaffected either way.
-    pub fn set_parallel_split_policy(&mut self, split: SplitPolicy) {
-        self.parallel_split = split;
-    }
-
-    /// The configured intra-cluster split policy.
-    pub fn parallel_split_policy(&self) -> SplitPolicy {
-        self.parallel_split
-    }
-
-    /// Compat wrapper over [`Engine::set_parallel_split_policy`]: `Some(c > 0)` caps
-    /// clusters at `c` queries, `Some(0)` and `None` never split.
+    /// Caps the clusters of the *parallel* run paths (see
+    /// [`ParallelBatchEnum::split`](ParallelBatchEnum)): `Some(c > 0)` splits oversized
+    /// clusters into sub-clusters of at most `c` queries, trading cross-split sharing for
+    /// parallel slack and a bounded shared cache; `Some(0)` and `None` (default) never
+    /// split. Sequential runs are unaffected either way.
     pub fn set_parallel_cluster_cap(&mut self, cap: Option<usize>) {
         self.parallel_split = SplitPolicy::from_cap(cap);
     }
@@ -1363,14 +1351,9 @@ mod tests {
         assert_eq!(counts, expected_counts);
         capped.set_parallel_cluster_cap(Some(0));
         assert_eq!(capped.parallel_cluster_cap(), None);
-        assert_eq!(capped.parallel_split_policy(), SplitPolicy::Never);
-        // The Auto policy stays lossless on counts too.
-        capped.set_parallel_split_policy(SplitPolicy::Auto);
-        assert_eq!(capped.parallel_split_policy(), SplitPolicy::Auto);
-        assert_eq!(capped.parallel_cluster_cap(), None);
-        let auto = capped.run_batch_parallel(&queries, Parallelism::Fixed(2));
-        let auto_counts: Vec<usize> = auto.paths.iter().map(PathSet::len).collect();
-        assert_eq!(auto_counts, expected_counts);
+        let uncapped = capped.run_batch_parallel(&queries, Parallelism::Fixed(2));
+        let uncapped_counts: Vec<usize> = uncapped.paths.iter().map(PathSet::len).collect();
+        assert_eq!(uncapped_counts, expected_counts);
     }
 
     #[test]

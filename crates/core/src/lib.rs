@@ -54,7 +54,6 @@ pub mod concat;
 pub mod detection;
 pub mod engine;
 pub mod epoch;
-pub mod materialize;
 pub mod parallel;
 pub mod path;
 pub mod pathenum;

@@ -44,8 +44,8 @@ use crate::spec::{QueryResponse, QuerySpec, SpecSink};
 use crate::stats::{EnumStats, Stage};
 use hcsp_graph::DiGraph;
 use hcsp_index::BatchIndex;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// How many shards each worker's deque is seeded with (steal granularity).
@@ -209,6 +209,10 @@ fn cluster_with_policy(
 }
 
 /// The work-stealing deque set: one deque of shard ids per worker.
+///
+/// This module's locks never poison the pool: a poisoned guard is taken back with
+/// [`PoisonError::into_inner`], which is sound because every critical section is a single
+/// `VecDeque`/`Vec` call that leaves the data valid.
 struct ShardDeques {
     queues: Vec<Mutex<VecDeque<usize>>>,
 }
@@ -230,14 +234,22 @@ impl ShardDeques {
     /// the back of the other deques (scanned round-robin starting after `worker`).
     fn next(&self, worker: usize) -> Option<usize> {
         // lint:allow(panic-free-hot-path) worker < workers = queues.len() by construction
-        if let Some(shard) = self.queues[worker].lock().pop_front() {
+        if let Some(shard) = self.queues[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop_front()
+        {
             return Some(shard);
         }
         let n = self.queues.len();
         for offset in 1..n {
             let victim = (worker + offset) % n;
             // lint:allow(panic-free-hot-path) victim is reduced mod n = queues.len()
-            if let Some(shard) = self.queues[victim].lock().pop_back() {
+            if let Some(shard) = self.queues[victim]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop_back()
+            {
                 return Some(shard);
             }
         }
@@ -299,13 +311,18 @@ where
                         local.push((cluster_idx, sink, stats));
                     }
                 }
-                collected.lock().append(&mut local);
+                collected
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .append(&mut local);
             });
         }
     });
 
     let num_shards = shards.len();
-    let mut results = collected.into_inner();
+    let mut results = collected
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     results.sort_by_key(|&(cluster_idx, _, _)| cluster_idx);
     (results, num_shards)
 }

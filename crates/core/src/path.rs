@@ -3,8 +3,7 @@
 //! Enumeration workloads materialise huge numbers of short paths (Fig. 13 of the paper
 //! shows up to 10^12 results per query at k = 7 on the largest graphs). Storing each path
 //! as its own `Vec<VertexId>` would pay one allocation per path; [`PathSet`] instead packs
-//! every path into one growing `u32` buffer with an offset table, which is also the layout
-//! the materialisation experiment (Fig. 3 (c)) scans.
+//! every path into one growing `u32` buffer with an offset table.
 
 use hcsp_graph::VertexId;
 use std::fmt;
@@ -188,12 +187,6 @@ impl PathSet {
         self.iter().map(|s| Path::new(s.to_vec())).collect()
     }
 
-    /// Total number of vertices stored across all paths — the work metric of the
-    /// "retrieve and scan" side of the materialisation experiment.
-    pub fn total_vertices(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Appends every path of `other` into `self`.
     pub fn extend_from(&mut self, other: &PathSet) {
         for p in other.iter() {
@@ -270,7 +263,7 @@ mod tests {
         assert_eq!(set.get(0), &[v(0), v(1), v(2)]);
         assert_eq!(set.get(1), &[v(3), v(4)]);
         assert_eq!(set.get(2), &[v(5), v(6), v(7)]);
-        assert_eq!(set.total_vertices(), 8);
+        assert_eq!(set.buffer.len(), 8);
         assert_eq!(set.to_path(1), p(&[3, 4]));
         assert_eq!(set.to_paths().len(), 3);
         assert!(set.heap_bytes() > 0);
@@ -294,7 +287,7 @@ mod tests {
         let cap_before = set.buffer.capacity();
         set.clear();
         assert!(set.is_empty());
-        assert_eq!(set.total_vertices(), 0);
+        assert_eq!(set.buffer.len(), 0);
         assert!(set.buffer.capacity() >= cap_before);
         set.push(&p(&[4]));
         assert_eq!(set.get(0), &[v(4)]);

@@ -2,7 +2,6 @@
 //! shared sub-structure of Definition 4.2).
 
 use hcsp_graph::{Direction, VertexId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an HC-s-t path query inside a batch (its position in the input slice).
@@ -11,7 +10,7 @@ pub type QueryId = usize;
 /// A hop-constrained s-t simple path query `q(s, t, k)`.
 ///
 /// The answer is every simple path from `s` to `t` with at most `k` hops (edges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathQuery {
     /// Source vertex `s`.
     pub source: VertexId,
@@ -91,7 +90,7 @@ impl fmt::Display for PathQuery {
 /// An HC-s path query `q_{v,k,G}` (Definition 4.2): all simple paths starting from `root`
 /// with at most `budget` hops in the given direction (`Forward` = on `G`, `Backward` = on
 /// `G^r`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HcsQuery {
     /// The single source vertex the paths start from.
     pub root: VertexId,

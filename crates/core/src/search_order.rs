@@ -8,10 +8,8 @@
 //! identical for both orders — only the traversal order, and therefore the running time,
 //! differs.
 
-use serde::{Deserialize, Serialize};
-
 /// Which order neighbours are expanded in during the half searches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SearchOrder {
     /// CSR (increasing vertex id) order — `PathEnum` / `BasicEnum` / `BatchEnum`.
     #[default]

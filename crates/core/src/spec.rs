@@ -24,11 +24,10 @@ use crate::query::{PathQuery, QueryId};
 use crate::sink::{PathSink, SinkFlow};
 use crate::stats::EnumStats;
 use hcsp_graph::VertexId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What a query wants back: the result mode of a [`QuerySpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResultMode {
     /// Does at least one HC-s-t path exist? Answered without enumeration whenever the
     /// batch index already knows (`dist(s, t) ≤ k`), and by the first enumerated path
@@ -55,7 +54,7 @@ impl fmt::Display for ResultMode {
 }
 
 /// One typed query request: the HC-s-t path query plus the shape of the wanted answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuerySpec {
     /// The underlying hop-constrained s-t path query.
     pub query: PathQuery,

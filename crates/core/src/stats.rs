@@ -5,12 +5,11 @@
 //! algorithm in this workspace fills an [`EnumStats`] so that decomposition is a
 //! by-product of normal execution rather than a special instrumented mode.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
 /// The processing stages distinguished by the time-decomposition experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Multi-source BFS index construction (Alg. 1 / Alg. 4, lines 1–2).
     BuildIndex,
@@ -45,7 +44,7 @@ impl fmt::Display for Stage {
 }
 
 /// Low-level traversal counters accumulated during the half searches and joins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchCounters {
     /// Vertices expanded (one per visited prefix) during the DFS half searches.
     pub expanded_vertices: u64,
@@ -74,7 +73,7 @@ impl SearchCounters {
 }
 
 /// Complete statistics of one batch run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnumStats {
     /// Wall-clock time per stage (absent stages were not executed by the algorithm).
     stage_times: Vec<(Stage, Duration)>,
@@ -91,7 +90,6 @@ pub struct EnumStats {
     /// Effective shards the parallel scheduler planned (0 for sequential runs). A batch
     /// whose clusters all collapse into one steal unit reports 1 here regardless of the
     /// worker count — the signal the intra-cluster split policy exists to fix.
-    #[serde(default)]
     pub num_shards: usize,
 }
 
@@ -167,9 +165,9 @@ impl EnumStats {
 /// Service-mode instrumentation of one executed micro-batch.
 ///
 /// A micro-batch is the set of queries one admission window of the serving layer closed
-/// over (see the `hcsp-service` crate); these counters are what the service throughput
-/// bench reports on top of the per-run [`EnumStats`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// over (see the `hcsp-service` crate); these counters sit on top of the per-run
+/// [`EnumStats`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MicroBatchStats {
     /// Number of queries the admission window closed over.
     pub batch_size: usize,
@@ -199,7 +197,7 @@ impl MicroBatchStats {
 }
 
 /// Aggregate statistics over every micro-batch a service session executed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Number of micro-batches executed.
     pub num_batches: usize,

@@ -2,8 +2,7 @@
 //!
 //! The evaluation datasets of the paper are social/web graphs with one giant (strongly or
 //! weakly) connected component and a heavy-tailed degree distribution; these routines let
-//! the workload layer verify that the synthetic analogs keep that shape, and give the
-//! experiment harness extra per-dataset characterisation beyond Table I.
+//! the workload layer verify that the synthetic analogs keep that shape.
 
 use crate::digraph::{DiGraph, Direction};
 use crate::vertex::VertexId;

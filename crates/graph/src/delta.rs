@@ -17,7 +17,7 @@ use std::sync::Arc;
 ///
 /// Updates are idempotent by construction: inserting an edge that already exists or
 /// deleting one that does not is a no-op (reported as such by [`DeltaGraph::apply`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphUpdate {
     /// Insert the directed edge `(u, v)`; may grow the vertex space.
     Insert(VertexId, VertexId),

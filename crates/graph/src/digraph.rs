@@ -11,7 +11,7 @@ use crate::Result;
 /// The paper's bidirectional enumeration runs a forward search from `s` on `G` and a
 /// backward search from `t` on `G^r`; passing a `Direction` instead of materialising `G^r`
 /// keeps a single copy of the graph in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Follow out-edges (a traversal on `G`).
     Forward,

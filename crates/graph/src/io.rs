@@ -10,7 +10,6 @@ use crate::digraph::DiGraph;
 use crate::error::GraphError;
 use crate::vertex::VertexId;
 use crate::Result;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -70,29 +69,39 @@ pub fn write_edge_list<W: Write>(graph: &DiGraph, mut writer: W) -> Result<()> {
 }
 
 /// Serialises the graph into the compact binary format.
-pub fn to_binary(graph: &DiGraph) -> Bytes {
+pub fn to_binary(graph: &DiGraph) -> Vec<u8> {
     let out = graph.out_adjacency();
     let inn = graph.in_adjacency();
-    let mut buf = BytesMut::with_capacity(
+    let mut buf = Vec::with_capacity(
         BINARY_MAGIC.len()
             + 17
             + (out.offsets().len() + inn.offsets().len()) * 8
             + (out.targets().len() + inn.targets().len()) * 4,
     );
-    buf.put_slice(BINARY_MAGIC);
-    buf.put_u8(BINARY_FORMAT_VERSION);
-    buf.put_u64_le(graph.num_vertices() as u64);
-    buf.put_u64_le(graph.num_edges() as u64);
+    buf.extend_from_slice(BINARY_MAGIC);
+    buf.push(BINARY_FORMAT_VERSION);
+    buf.extend_from_slice(&(graph.num_vertices() as u64).to_le_bytes());
+    buf.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
     for adj in [out, inn] {
-        buf.put_u64_le(adj.targets().len() as u64);
+        buf.extend_from_slice(&(adj.targets().len() as u64).to_le_bytes());
         for &off in adj.offsets() {
-            buf.put_u64_le(off);
+            buf.extend_from_slice(&off.to_le_bytes());
         }
         for &t in adj.targets() {
-            buf.put_u32_le(t.raw());
+            buf.extend_from_slice(&t.raw().to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
+}
+
+/// Consumes `N` bytes off the front of `data`. Callers check the length first, so a short
+/// buffer is a bug here, not bad input.
+fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data
+        .split_first_chunk::<N>()
+        .expect("caller checked the remaining length");
+    *data = rest;
+    *head
 }
 
 /// Deserialises a graph from the compact binary format.
@@ -104,33 +113,33 @@ pub fn from_binary(mut data: &[u8]) -> Result<DiGraph> {
     if &data[..BINARY_MAGIC.len()] != BINARY_MAGIC {
         return Err(fail("bad magic"));
     }
-    data.advance(BINARY_MAGIC.len());
-    let version = data.get_u8();
+    data = &data[BINARY_MAGIC.len()..];
+    let [version] = take::<1>(&mut data);
     if version != BINARY_FORMAT_VERSION {
         return Err(GraphError::UnsupportedVersion {
             found: version,
             supported: BINARY_FORMAT_VERSION,
         });
     }
-    let num_vertices = data.get_u64_le() as usize;
-    let declared_edges = data.get_u64_le() as usize;
+    let num_vertices = u64::from_le_bytes(take(&mut data)) as usize;
+    let declared_edges = u64::from_le_bytes(take(&mut data)) as usize;
 
     let read_adj = |data: &mut &[u8]| -> Result<CsrAdjacency> {
-        if data.remaining() < 8 {
+        if data.len() < 8 {
             return Err(fail("truncated adjacency header"));
         }
-        let num_targets = data.get_u64_le() as usize;
+        let num_targets = u64::from_le_bytes(take(data)) as usize;
         let offsets_len = num_vertices + 1;
-        if data.remaining() < offsets_len * 8 + num_targets * 4 {
+        if data.len() < offsets_len * 8 + num_targets * 4 {
             return Err(fail("truncated adjacency body"));
         }
         let mut offsets = Vec::with_capacity(offsets_len);
         for _ in 0..offsets_len {
-            offsets.push(data.get_u64_le());
+            offsets.push(u64::from_le_bytes(take(data)));
         }
         let mut targets = Vec::with_capacity(num_targets);
         for _ in 0..num_targets {
-            targets.push(VertexId(data.get_u32_le()));
+            targets.push(VertexId(u32::from_le_bytes(take(data))));
         }
         CsrAdjacency::from_raw_parts(offsets, targets).ok_or_else(|| fail("inconsistent CSR"))
     };

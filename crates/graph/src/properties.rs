@@ -3,14 +3,13 @@
 use crate::digraph::{DiGraph, Direction};
 use crate::traversal;
 use crate::vertex::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Degree and size statistics of a directed graph.
 ///
 /// The paper's Table I reports `|V|`, `|E|`, `d_avg` and `d_max`. Table I treats degree as
 /// total (in + out) degree; both the total and the per-direction maxima are kept here so
 /// the analog datasets can be validated against either convention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices.
     pub num_vertices: usize,

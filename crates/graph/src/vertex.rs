@@ -3,7 +3,6 @@
 //! Vertices are dense `u32` identifiers in `[0, n)`. A newtype is used instead of a bare
 //! `u32` so that vertex ids, hop budgets, and counts cannot be confused at call sites.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense vertex identifier in `[0, n)` for a graph with `n` vertices.
@@ -11,7 +10,7 @@ use std::fmt;
 /// `VertexId` is a thin wrapper around `u32`: the paper's largest graphs (Twitter-2010,
 /// Friendster) have fewer than 2^32 vertices, and 32-bit ids halve the memory footprint of
 /// the CSR arrays and of materialised paths compared to `usize` on 64-bit platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct VertexId(pub u32);
 

@@ -9,8 +9,6 @@
 //! * [`index`] — bounded-distance multi-source BFS index ([`hcsp_index`]).
 //! * [`core`] — the enumeration algorithms: `PathEnum`, `BasicEnum(+)`, `BatchEnum(+)`
 //!   ([`hcsp_core`]).
-//! * [`baselines`] — the adapted k-shortest-path comparators `DkSP` and `OnePass`
-//!   ([`hcsp_baselines`]).
 //! * [`service`] — the micro-batching serving layer: a long-lived `PathService` forming
 //!   shared batches from a query stream ([`hcsp_service`]).
 //! * [`storage`] — the durability layer: append-only update log, snapshot store,
@@ -19,7 +17,7 @@
 //! * [`workload`] — the Table I dataset analogs, query-set generators, and open-loop
 //!   arrival processes ([`hcsp_workload`]).
 //! * [`server`] — the network front-end: CRC-framed wire protocol, text query
-//!   language, TCP server and load-generator client ([`hcsp_server`]).
+//!   language, TCP server and pipelining client ([`hcsp_server`]).
 //!
 //! ## Quickstart
 //!
@@ -54,11 +52,6 @@ pub mod index {
 /// Enumeration algorithms (re-export of `hcsp-core`).
 pub mod core {
     pub use hcsp_core::*;
-}
-
-/// Adapted KSP comparators (re-export of `hcsp-baselines`).
-pub mod baselines {
-    pub use hcsp_baselines::*;
 }
 
 /// Micro-batching service layer (re-export of `hcsp-service`).

@@ -1,6 +1,6 @@
 #[derive(Default)]
 pub struct SearchCounters {
-    /// Reported by bench, but nothing in core/service ever maintains it:
+    /// Read by the counters test, but nothing in core/service ever maintains it:
     /// every report will show zero.
     pub expanded_vertices: u64,
 }

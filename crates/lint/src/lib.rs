@@ -142,9 +142,9 @@ fn is_allowed(files: &[SourceFile], d: &Diagnostic) -> bool {
 }
 
 /// Collects every workspace `.rs` file under `root/crates`, lexes it, and
-/// marks whole-file test regions for `tests/`, `examples/`, and `benches/`
-/// directories. The linter's own fixture corpus is excluded — fixtures are
-/// *supposed* to fail.
+/// marks whole-file test regions for `tests/` and `examples/` directories.
+/// The linter's own fixture corpus is excluded — fixtures are *supposed* to
+/// fail.
 pub fn collect_workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
     walk(&root.join("crates"), &mut paths)?;
@@ -163,10 +163,7 @@ pub fn collect_workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
         }
         let src = fs::read_to_string(&path)?;
         let mut file = SourceFile::new(rel, src.as_str());
-        if file.path.contains("/tests/")
-            || file.path.contains("/examples/")
-            || file.path.contains("/benches/")
-        {
+        if file.path.contains("/tests/") || file.path.contains("/examples/") {
             file.mask.iter_mut().for_each(|m| *m = true);
         }
         files.push(file);

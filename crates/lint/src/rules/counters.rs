@@ -1,10 +1,10 @@
 //! L5 `dead-counter`: every field of the instrumentation structs must be
-//! *written* somewhere in `crates/core`/`crates/service` and *read* somewhere
-//! in `crates/bench` — otherwise it is either a counter nothing maintains
-//! (reports silently show zero) or a counter nothing reports (dead weight the
-//! next refactor will miscount around). This is the one whole-workspace rule:
-//! it needs the struct definitions, the producer crates, and the consumer
-//! crate in one view.
+//! *written* somewhere in `crates/core`/`crates/service` and *read* by the
+//! counters test ([`CONSUMER`]) — otherwise it is either a counter nothing
+//! maintains (reports silently show zero) or a counter nothing reads (dead
+//! weight the next refactor will miscount around). This is the one
+//! whole-workspace rule: it needs the struct definitions, the producer crates,
+//! and the consumer file in one view.
 //!
 //! Matching is by field *name*, not receiver type — a lexical linter cannot
 //! resolve types. The instrumentation fields are named distinctively enough
@@ -20,6 +20,10 @@ use crate::{Diagnostic, SourceFile};
 
 /// The instrumentation structs under contract.
 const STRUCTS: [&str; 3] = ["ServiceStats", "IndexReuse", "SearchCounters"];
+
+/// The one file whose reads count: an integration test that drives every counter.
+/// It lives under `crates/service/` but is never a producer.
+pub const CONSUMER: &str = "crates/service/tests/counters.rs";
 
 /// Operators that, followed by `=`, form a compound assignment.
 const COMPOUND_OPS: [char; 7] = ['+', '-', '*', '/', '|', '&', '^'];
@@ -53,8 +57,9 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut written: HashSet<String> = HashSet::new();
     let mut read: HashSet<String> = HashSet::new();
     for file in files {
-        let producer = file.path.contains("crates/core/") || file.path.contains("crates/service/");
-        let consumer = file.path.contains("crates/bench/");
+        let consumer = file.path.ends_with(CONSUMER);
+        let producer = !consumer
+            && (file.path.contains("crates/core/") || file.path.contains("crates/service/"));
         if !producer && !consumer {
             continue;
         }
@@ -104,8 +109,8 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
                 super::DEAD_COUNTER,
                 def.line,
                 format!(
-                    "counter `{}.{}` is never read by crates/bench — it will not appear in \
-                     any report; wire it through or delete it",
+                    "counter `{}.{}` is never read by {CONSUMER} — drive it there or \
+                     delete it",
                     def.strukt, def.field
                 ),
             ));

@@ -49,7 +49,7 @@ pub const CATALOGUE: [(&str, &str, &str); 5] = [
     (
         "L5",
         DEAD_COUNTER,
-        "every stats counter is written in core/service and read by bench/report",
+        "every stats counter is written in core/service and read by the counters test",
     ),
 ];
 

@@ -117,7 +117,7 @@ fn dead_counter_fixture_sets() {
                 let vpath = match p.file_name().unwrap().to_string_lossy().as_ref() {
                     "def.rs" => "crates/core/src/stats.rs",
                     "core.rs" => "crates/core/src/engine.rs",
-                    "bench.rs" => "crates/bench/src/report.rs",
+                    "consumer.rs" => rules::counters::CONSUMER,
                     other => panic!("{name}: unmapped fixture file {other}"),
                 };
                 SourceFile::new(vpath, &fs::read_to_string(&p).unwrap())

@@ -3,8 +3,8 @@
 //! The network front-end of the reproduction: a versioned, CRC-framed binary wire
 //! protocol ([`frame`]), a small text query language compiled into the service's typed
 //! requests ([`lang`]), a blocking thread-per-connection TCP server over a shared
-//! [`hcsp_service::PathService`] ([`server`]), and the matching blocking client and
-//! open-loop load generator ([`client`], [`load`]).
+//! [`hcsp_service::PathService`] ([`server`]), and the matching blocking, pipelining
+//! client ([`client`]).
 //!
 //! The serving pipeline end to end:
 //!
@@ -30,7 +30,6 @@
 pub mod client;
 pub mod frame;
 pub mod lang;
-pub mod load;
 pub mod server;
 
 pub use client::{Client, Reply};
@@ -41,5 +40,4 @@ pub use frame::{
 pub use lang::{
     parse, ParseError, QueryStatement, QueryVerb, Statement, UpdateOp, UpdateStatement,
 };
-pub use load::{run_load, LoadReport};
 pub use server::{PathServer, ServerConfig};

@@ -19,7 +19,7 @@
 //! across micro-batches (extended incrementally for new endpoints, rebuilt only when the
 //! hop bound grows), and per-micro-batch counters (queue wait, batch size, sharing ratio;
 //! [`hcsp_core::MicroBatchStats`]) aggregate into the [`hcsp_core::ServiceStats`] the
-//! throughput experiments report.
+//! benchmark's serving workloads read.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the dataflow diagram, and the
 //! `service_demo` example for a runnable tour.

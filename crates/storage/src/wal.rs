@@ -16,7 +16,6 @@
 //! not at all, never misparsed.
 
 use crate::crc32::crc32;
-use bytes::{Buf, BufMut};
 use hcsp_graph::{GraphUpdate, VertexId};
 
 /// WAL file magic (7 bytes, followed by a 1-byte format version).
@@ -41,9 +40,9 @@ pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 /// Encodes the WAL file header for a file whose first frame logs batch `first_seq`.
 pub fn encode_wal_header(first_seq: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(WAL_HEADER_LEN);
-    buf.put_slice(WAL_MAGIC);
-    buf.put_u8(WAL_VERSION);
-    buf.put_u64_le(first_seq);
+    buf.extend_from_slice(WAL_MAGIC);
+    buf.push(WAL_VERSION);
+    buf.extend_from_slice(&first_seq.to_le_bytes());
     buf
 }
 
@@ -62,31 +61,41 @@ pub fn decode_wal_header(bytes: &[u8]) -> Result<u64, String> {
         ));
     }
     let mut seq_bytes = &bytes[WAL_MAGIC.len() + 1..WAL_HEADER_LEN];
-    Ok(seq_bytes.get_u64_le())
+    Ok(u64::from_le_bytes(take(&mut seq_bytes)))
 }
 
 /// Encodes one update batch as a complete frame (prefix + payload) logging batch `seq`.
 pub fn encode_frame(seq: u64, updates: &[GraphUpdate]) -> Vec<u8> {
     let payload_len = 12 + updates.len() * 9;
     let mut payload = Vec::with_capacity(payload_len);
-    payload.put_u64_le(seq);
-    payload.put_u32_le(updates.len() as u32);
+    payload.extend_from_slice(&seq.to_le_bytes());
+    payload.extend_from_slice(&(updates.len() as u32).to_le_bytes());
     for update in updates {
         let (u, v) = update.edge();
-        payload.put_u8(if update.is_insert() {
+        payload.push(if update.is_insert() {
             TAG_INSERT
         } else {
             TAG_DELETE
         });
-        payload.put_u32_le(u.raw());
-        payload.put_u32_le(v.raw());
+        payload.extend_from_slice(&u.raw().to_le_bytes());
+        payload.extend_from_slice(&v.raw().to_le_bytes());
     }
     debug_assert_eq!(payload.len(), payload_len);
     let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + payload.len());
-    frame.put_u32_le(payload.len() as u32);
-    frame.put_u32_le(crc32(&payload));
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     frame.extend_from_slice(&payload);
     frame
+}
+
+/// Consumes `N` bytes off the front of `data`. Every caller checks the length first, so a
+/// short buffer is a bug here, not a torn tail.
+fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data
+        .split_first_chunk::<N>()
+        .expect("caller checked the remaining length");
+    *data = rest;
+    *head
 }
 
 /// Decodes a CRC-verified frame payload into its batch sequence and updates.
@@ -97,19 +106,19 @@ fn decode_payload(mut payload: &[u8]) -> Result<(u64, Vec<GraphUpdate>), String>
             payload.len()
         ));
     }
-    let seq = payload.get_u64_le();
-    let count = payload.get_u32_le() as usize;
-    if payload.remaining() != count * 9 {
+    let seq = u64::from_le_bytes(take(&mut payload));
+    let count = u32::from_le_bytes(take(&mut payload)) as usize;
+    if payload.len() != count * 9 {
         return Err(format!(
             "count {count} disagrees with {} remaining payload bytes",
-            payload.remaining()
+            payload.len()
         ));
     }
     let mut updates = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = payload.get_u8();
-        let u = VertexId(payload.get_u32_le());
-        let v = VertexId(payload.get_u32_le());
+        let [tag] = take::<1>(&mut payload);
+        let u = VertexId(u32::from_le_bytes(take(&mut payload)));
+        let v = VertexId(u32::from_le_bytes(take(&mut payload)));
         updates.push(match tag {
             TAG_INSERT => GraphUpdate::Insert(u, v),
             TAG_DELETE => GraphUpdate::Delete(u, v),
@@ -175,8 +184,8 @@ pub fn scan_wal(bytes: &[u8], expect_first_seq: Option<u64>) -> Result<WalScan, 
             )));
         }
         let mut prefix = &rest[..FRAME_PREFIX_LEN];
-        let len = prefix.get_u32_le() as usize;
-        let crc = prefix.get_u32_le();
+        let len = u32::from_le_bytes(take(&mut prefix)) as usize;
+        let crc = u32::from_le_bytes(take(&mut prefix));
         if len > MAX_FRAME_PAYLOAD {
             return Ok(torn(format!(
                 "frame length {len} exceeds the {MAX_FRAME_PAYLOAD} cap"
@@ -310,8 +319,8 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_a_torn_tail_not_an_allocation() {
         let mut bytes = encode_wal_header(0);
-        bytes.put_u32_le(u32::MAX);
-        bytes.put_u32_le(0);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 32]);
         let scan = scan_wal(&bytes, Some(0)).unwrap();
         assert!(scan.batches.is_empty());
@@ -323,28 +332,28 @@ mod tests {
         // A payload whose count disagrees with its length (crc recomputed to match, so
         // only the structural check can catch it).
         let mut payload = Vec::new();
-        payload.put_u64_le(0);
-        payload.put_u32_le(3); // claims 3 updates, carries 1
-        payload.put_u8(TAG_INSERT);
-        payload.put_u32_le(1);
-        payload.put_u32_le(2);
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&3u32.to_le_bytes()); // claims 3 updates, carries 1
+        payload.push(TAG_INSERT);
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
         let mut bytes = encode_wal_header(0);
-        bytes.put_u32_le(payload.len() as u32);
-        bytes.put_u32_le(crc32(&payload));
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         let scan = scan_wal(&bytes, Some(0)).unwrap();
         assert!(scan.batches.is_empty());
         assert!(scan.torn.unwrap().contains("disagrees"));
 
         let mut payload = Vec::new();
-        payload.put_u64_le(0);
-        payload.put_u32_le(1);
-        payload.put_u8(9); // unknown tag
-        payload.put_u32_le(1);
-        payload.put_u32_le(2);
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.push(9); // unknown tag
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
         let mut bytes = encode_wal_header(0);
-        bytes.put_u32_le(payload.len() as u32);
-        bytes.put_u32_le(crc32(&payload));
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         let scan = scan_wal(&bytes, Some(0)).unwrap();
         assert!(scan.batches.is_empty());

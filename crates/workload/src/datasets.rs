@@ -1,19 +1,19 @@
 //! Synthetic analogs of the paper's Table I datasets.
 //!
-//! | Code | Paper dataset | Character reproduced by the analog |
-//! |------|---------------|------------------------------------|
-//! | EP   | Epinions      | small social graph, heavy-tailed degrees, d_avg ≈ 13 |
-//! | SL   | Slashdot      | small social graph, denser than EP |
-//! | BK   | Baidu-baike   | sparse encyclopedia link graph, d_avg ≈ 5, extreme hub |
-//! | WT   | WikiTalk      | very sparse communication graph, d_avg ≈ 5 |
-//! | BS   | BerkStan      | web graph: strong locality + long-range links |
-//! | SK   | Skitter       | internet topology, d_avg ≈ 13 |
-//! | UK   | Web-uk-2005   | dense web crawl, d_avg ≈ 181 (scaled down, still the densest) |
-//! | DA   | Rec-dating    | dense bipartite-ish interaction graph, d_avg ≈ 205 (scaled) |
-//! | PO   | Pokec         | mid-size social network, d_avg ≈ 37 |
-//! | LJ   | LiveJournal   | large social network, d_avg ≈ 18 |
-//! | TW   | Twitter-2010  | billion-scale follower graph (largest analog), low reciprocity |
-//! | FS   | Friendster    | billion-scale friendship graph, high reciprocity |
+//! | Code | Paper dataset | Paper \|V\| | Paper \|E\| | Paper d_avg | Character reproduced by the analog |
+//! |------|---------------|-----------|-----------|-------------|------------------------------------|
+//! | EP   | Epinions      | 75 K   | 508 K  | 13.4  | small social graph, heavy-tailed degrees |
+//! | SL   | Slashdot      | 82 K   | 948 K  | 21.2  | small social graph, denser than EP |
+//! | BK   | Baidu-baike   | 416 K  | 3.0 M  | 5.0   | sparse encyclopedia link graph, extreme hub |
+//! | WT   | WikiTalk      | 2.0 M  | 5.0 M  | 5.0   | very sparse communication graph |
+//! | BS   | BerkStan      | 685 K  | 7.0 M  | 22.2  | web graph: strong locality + long-range links |
+//! | SK   | Skitter       | 1.6 M  | 11 M   | 13.1  | internet topology |
+//! | UK   | Web-uk-2005   | 130 K  | 11.7 M | 181.2 | dense web crawl (scaled down, still the densest) |
+//! | DA   | Rec-dating    | 169 K  | 17 M   | 205.7 | dense bipartite-ish interaction graph (scaled) |
+//! | PO   | Pokec         | 1.6 M  | 31 M   | 37.5  | mid-size social network |
+//! | LJ   | LiveJournal   | 4.0 M  | 69 M   | 17.9  | large social network |
+//! | TW   | Twitter-2010  | 42 M   | 1.46 B | 70.5  | billion-scale follower graph (largest analog), low reciprocity |
+//! | FS   | Friendster    | 65 M   | 1.81 B | 27.5  | billion-scale friendship graph, high reciprocity |
 //!
 //! Every analog is deterministic for a given [`DatasetScale`] and the workspace-wide seed,
 //! so experiment runs are reproducible.
@@ -21,7 +21,6 @@
 use hcsp_graph::generators::preferential::{preferential_attachment, PreferentialConfig};
 use hcsp_graph::generators::{gnm_random, small_world};
 use hcsp_graph::{DiGraph, GraphStats};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scale factor for the analog datasets.
@@ -29,7 +28,7 @@ use std::fmt;
 /// The paper runs on graphs up to 1.8 B edges on a 512 GB server; the analogs default to
 /// sizes that let the full benchmark suite finish on a laptop, with [`DatasetScale::Medium`]
 /// and [`DatasetScale::Large`] available for longer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DatasetScale {
     /// Tiny graphs for unit/integration tests (hundreds of vertices).
     Tiny,
@@ -55,7 +54,7 @@ impl DatasetScale {
 }
 
 /// The twelve dataset analogs, named by the paper's abbreviations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum Dataset {
     /// Epinions analog.
@@ -121,24 +120,6 @@ impl Dataset {
             Dataset::LJ => "LiveJournal",
             Dataset::TW => "Twitter-2010",
             Dataset::FS => "Friendster",
-        }
-    }
-
-    /// Statistics of the original dataset as reported in Table I: `(|V|, |E|, d_avg)`.
-    pub fn paper_statistics(self) -> (u64, u64, f64) {
-        match self {
-            Dataset::EP => (75_000, 508_000, 13.4),
-            Dataset::SL => (82_000, 948_000, 21.2),
-            Dataset::BK => (416_000, 3_000_000, 5.0),
-            Dataset::WT => (2_000_000, 5_000_000, 5.0),
-            Dataset::BS => (685_000, 7_000_000, 22.2),
-            Dataset::SK => (1_600_000, 11_000_000, 13.1),
-            Dataset::UK => (130_000, 11_700_000, 181.2),
-            Dataset::DA => (169_000, 17_000_000, 205.7),
-            Dataset::PO => (1_600_000, 31_000_000, 37.5),
-            Dataset::LJ => (4_000_000, 69_000_000, 17.9),
-            Dataset::TW => (42_000_000, 1_460_000_000, 70.5),
-            Dataset::FS => (65_000_000, 1_810_000_000, 27.5),
         }
     }
 
@@ -300,8 +281,6 @@ mod tests {
             let parsed: Dataset = d.to_string().parse().unwrap();
             assert_eq!(parsed, d);
             assert!(!d.paper_name().is_empty());
-            let (v, e, avg) = d.paper_statistics();
-            assert!(v > 0 && e > 0 && avg > 0.0);
         }
         assert!("ep".parse::<Dataset>().is_ok());
         assert!("nope".parse::<Dataset>().is_err());

@@ -5,7 +5,8 @@
 //! selecting pairs (s, t) such that s can reach t in k hops." Exp-1 additionally varies
 //! the *similarity* of the query set from 0 % to 90 %; [`similar_query_set`] provides that
 //! knob by mixing groups of near-identical queries with independent random queries, and
-//! the measured average similarity µ_Q is reported by the harness rather than assumed.
+//! the measured average similarity µ_Q is reported (by `examples/paper_sweeps.rs`) rather
+//! than assumed.
 
 use hcsp_core::PathQuery;
 use hcsp_graph::traversal::{bfs_visit_bounded, VisitScratch};
@@ -111,9 +112,10 @@ pub fn random_query_set(graph: &DiGraph, spec: QuerySetSpec) -> Vec<PathQuery> {
 /// The construction mixes "shared groups" with independent queries: a group of `g` queries
 /// built around the same `(s, t)` pair has pairwise similarity ≈ 1, and unrelated random
 /// queries have similarity ≈ 0, so choosing `g ≈ target · (size − 1) + 1` yields an average
-/// close to the target. Within a group the hop constraint still varies uniformly in
-/// `[k_min, k_max]`, so grouped queries are not literal duplicates. The harness reports the
-/// *measured* µ_Q of the generated set, exactly like the paper reports measured similarity.
+/// close to the target. Within a group the hop constraint varies uniformly in
+/// `[max(k_min, dist(s, t)), k_max]`, so a group holds at most that many distinct queries
+/// and a large group repeats them literally. `paper_sweeps` reports the *measured* µ_Q of
+/// the generated set, exactly like the paper reports measured similarity.
 pub fn similar_query_set(
     graph: &DiGraph,
     spec: QuerySetSpec,

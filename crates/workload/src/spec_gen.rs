@@ -60,7 +60,7 @@ impl ModeMix {
         self
     }
 
-    /// A mix containing only one mode (for A/B comparisons in the bench harness).
+    /// A mix containing only one mode (for A/B comparisons between modes).
     pub fn only(mode: ResultMode) -> Self {
         let mut mix = ModeMix::new(0, 0, 0, 0);
         match mode {

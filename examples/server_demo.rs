@@ -1,6 +1,6 @@
 //! Network front-end demo: start a [`PathServer`] on loopback, speak the text query
-//! language over TCP, interleave a graph update, and finish with a short load-generator
-//! run that reports tail latency.
+//! language over TCP, interleave a graph update, and finish by pipelining a burst of
+//! statements over one connection.
 //!
 //! ```text
 //! cargo run --example server_demo
@@ -10,8 +10,6 @@
 #![allow(clippy::print_stdout)]
 
 use hcsp::prelude::*;
-use hcsp::server::run_load;
-use hcsp::workload::ArrivalProcess;
 use std::sync::Arc;
 
 fn main() {
@@ -78,27 +76,25 @@ fn main() {
             Err(err) => panic!("transport failure on {statement:?}: {err}"),
         }
     }
-    drop(client);
 
-    // A short open-loop run through the same listener: 64 mixed statements arriving
-    // as a Poisson process, answered in order on one pipelined connection.
-    let statements: Vec<String> = (0..64)
-        .map(|i| match i % 4 {
+    // Pipelining on the same connection: send 64 mixed statements before reading any
+    // reply; the server answers each connection's requests in order.
+    let burst = 64;
+    for i in 0..burst {
+        let statement = match i % 4 {
             0 => "PATHS FROM 0 TO 5 WITHIN 4 LIMIT 2".to_string(),
             1 => "EXISTS FROM 0 TO 5 WITHIN 4".to_string(),
             2 => "COUNT FROM 0 TO 5 WITHIN 4".to_string(),
             _ => format!("INSERT EDGE {} {}", i % 6, (i + 3) % 6),
-        })
-        .collect();
-    let arrivals = ArrivalProcess::Poisson { rate_qps: 2_000.0 };
-    let report = run_load(server.local_addr(), &statements, &arrivals, 42).expect("load run");
-    println!(
-        "load: {} requests, p50 {:?}, p99 {:?}, {:.0} replies/s",
-        report.replies.len(),
-        report.p50(),
-        report.p99(),
-        report.qps(),
-    );
+        };
+        client.send(&statement).expect("send");
+    }
+    let refused = (0..burst)
+        .map(|_| client.recv().expect("recv").1)
+        .filter(|reply| matches!(reply, Reply::Error { .. }))
+        .count();
+    println!("pipelined: {burst} requests, {refused} refused");
+    drop(client);
 
     server.shutdown();
     let stats = Arc::try_unwrap(service)

@@ -1,9 +1,7 @@
 //! Cross-crate integration tests: every algorithm in the workspace — the five evaluated
-//! variants plus the two adapted KSP comparators — must return exactly the same result
-//! sets as the brute-force reference enumerator, on structured graphs, random graphs and
-//! dataset analogs.
+//! variants — must return exactly the same result sets as the brute-force reference
+//! enumerator, on structured graphs, random graphs and dataset analogs.
 
-use hcsp::baselines::{DkSp, KspEnumerator, OnePass};
 use hcsp::core::bruteforce::{canonical, enumerate_reference};
 use hcsp::prelude::*;
 use hcsp::workload::{Dataset, DatasetScale};
@@ -20,15 +18,6 @@ fn run_engine(graph: &DiGraph, queries: &[PathQuery], algorithm: Algorithm) -> V
         .collect()
 }
 
-/// Runs a batch through one KSP comparator and returns per-query canonical path lists.
-fn run_ksp<E: KspEnumerator>(graph: &DiGraph, queries: &[PathQuery], algo: &E) -> Vec<Vec<Path>> {
-    let mut sink = CollectSink::new(queries.len());
-    algo.run_batch(graph, queries, &mut sink);
-    (0..queries.len())
-        .map(|i| canonical(sink.paths(i).to_paths()))
-        .collect()
-}
-
 /// Asserts that every algorithm agrees with the brute-force reference on this batch.
 fn assert_all_algorithms_agree(graph: &DiGraph, queries: &[PathQuery]) {
     let reference: Vec<Vec<Path>> = queries
@@ -40,16 +29,6 @@ fn assert_all_algorithms_agree(graph: &DiGraph, queries: &[PathQuery]) {
         let got = run_engine(graph, queries, algorithm);
         assert_eq!(got, reference, "{algorithm} disagrees with the reference");
     }
-    assert_eq!(
-        run_ksp(graph, queries, &DkSp::default()),
-        reference,
-        "DkSP disagrees"
-    );
-    assert_eq!(
-        run_ksp(graph, queries, &OnePass::default()),
-        reference,
-        "OnePass disagrees"
-    );
 }
 
 #[test]
@@ -113,8 +92,8 @@ fn all_algorithms_agree_on_random_graphs() {
 
 #[test]
 fn engine_algorithms_agree_on_dataset_analogs() {
-    // The KSP comparators are too slow for the larger analogs; the five engine algorithms
-    // must still agree with each other (counts) and with the reference on a subsample.
+    // The brute-force reference is too slow for the larger analogs; the five engine
+    // algorithms must agree with each other (counts) and with the reference on a subsample.
     for dataset in [Dataset::EP, Dataset::WT, Dataset::BS] {
         let graph = dataset.build(DatasetScale::Tiny);
         let queries = hcsp::workload::random_query_set(

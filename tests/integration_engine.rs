@@ -1,7 +1,5 @@
-//! Engine-level integration tests: sinks, statistics, the materialisation experiment,
-//! γ sensitivity and graph sampling — the pieces the experiment harness is built from.
+//! Engine-level integration tests: sinks, statistics, γ sensitivity and graph sampling.
 
-use hcsp::core::materialize::materialize_batch;
 use hcsp::core::Stage;
 use hcsp::prelude::*;
 use hcsp::workload::{random_query_set, Dataset, DatasetScale, QuerySetSpec};
@@ -79,22 +77,6 @@ fn stats_decomposition_matches_algorithm_structure() {
     }
     assert!(batch.total_time() >= batch.stage_time(Stage::Enumeration));
     assert!(!batch.decomposition_row().is_empty());
-}
-
-#[test]
-fn materialisation_results_match_live_enumeration() {
-    let (graph, queries) = small_workload();
-    let (materialized, _) = materialize_batch(&graph, &queries, SearchOrder::DistanceThenDegree);
-    let (counts, _) =
-        BatchEngine::with_algorithm(Algorithm::PathEnum).run_counting(&graph, &queries);
-    assert_eq!(materialized.num_queries(), queries.len());
-    for (i, &c) in counts.iter().enumerate() {
-        assert_eq!(materialized.paths(i).len() as u64, c, "query {i}");
-        let (scanned, _) = materialized.scan(i);
-        assert_eq!(scanned as u64, c);
-    }
-    let (total, _) = materialized.scan_all();
-    assert_eq!(total as u64, counts.iter().sum::<u64>());
 }
 
 #[test]

@@ -17,8 +17,8 @@ use hcsp::prelude::{
     BatchPolicy, Client, DiGraph, DurabilityOptions, FsyncPolicy, PathServer, PathService, Reply,
     ServerConfig,
 };
-use hcsp::server::{response_frames, run_load, ErrorCode, Response};
-use hcsp::workload::{random_query_set, ArrivalProcess, Dataset, DatasetScale, QuerySetSpec};
+use hcsp::server::{response_frames, ErrorCode, Response};
+use hcsp::workload::{random_query_set, Dataset, DatasetScale, QuerySetSpec};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -267,7 +267,7 @@ fn over_cap_connections_get_a_busy_frame() {
     panic!("the freed connection slot never became reusable");
 }
 
-/// The load generator drives a durable group-committing service over TCP end to end:
+/// A pipelined client drives a durable group-committing service over TCP end to end:
 /// every reply decodes, updates are acknowledged durably, and the group-commit counter
 /// moved.
 #[test]
@@ -298,24 +298,24 @@ fn load_generator_drives_a_durable_service_end_to_end() {
             _ => "EXISTS FROM 0 TO 3 WITHIN 3".to_string(),
         });
     }
-    let arrivals = ArrivalProcess::Bursty {
-        burst_size: 8,
-        gap: Duration::from_millis(2),
-    };
-    let report = run_load(server.local_addr(), &statements, &arrivals, 7).expect("load run");
-    assert_eq!(report.replies.len(), statements.len());
-    assert_eq!(report.latencies.len(), statements.len());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let sent: Vec<u64> = statements
+        .iter()
+        .map(|statement| client.send(statement).expect("send"))
+        .collect();
+    let mut replies = Vec::with_capacity(sent.len());
+    for want_id in sent {
+        let (id, reply) = client.recv().expect("recv");
+        assert_eq!(id, want_id, "replies must be FIFO with requests");
+        replies.push(reply);
+    }
+    assert_eq!(replies.len(), statements.len());
     assert!(
-        !report
-            .replies
-            .iter()
-            .any(|r| matches!(r, Reply::Error { .. })),
-        "no statement may be refused: {:?}",
-        report.replies
+        !replies.iter().any(|r| matches!(r, Reply::Error { .. })),
+        "no statement may be refused: {replies:?}"
     );
-    assert!(report.p50() <= report.p99(), "percentiles are ordered");
-    assert!(report.qps() > 0.0);
 
+    drop(client);
     server.shutdown();
     let stats = Arc::try_unwrap(service).expect("last reference").shutdown();
     assert_eq!(stats.update_batches, 10, "every INSERT was applied");
