@@ -23,12 +23,18 @@ use crate::frame::{
 use crate::lang::{parse, Statement};
 use hcsp_service::{AdmissionError, PathService, SpecHandle, UpdateHandle};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long, and for how many bytes, an over-cap connection is drained after its `Busy`
+/// frame before it closes.
+const BUSY_LINGER: Duration = Duration::from_secs(1);
+const BUSY_DRAIN_BYTES: u64 = 64 << 10;
 
 /// Tuning knobs of a [`PathServer`].
 #[derive(Debug, Clone)]
@@ -216,6 +222,11 @@ fn serve_connection(mut stream: TcpStream, conn_id: u64, shared: Arc<Shared>) {
         };
         let _ = write_frame(&mut stream, &busy.encode());
         let _ = stream.flush();
+        // Close gracefully: closing with the client's request still unread here would
+        // reset the connection, and the reset can destroy the Busy frame in flight.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(BUSY_LINGER));
+        let _ = io::copy(&mut (&stream).take(BUSY_DRAIN_BYTES), &mut io::sink());
         return;
     }
     if let Ok(read_half) = stream.try_clone() {
