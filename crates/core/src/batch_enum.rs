@@ -107,12 +107,7 @@ impl BatchEnum {
 
         // Stage 2: ClusterQuery (Alg. 4 line 3 / Alg. 2).
         let start = Instant::now();
-        let neighborhoods: Vec<QueryNeighborhood> = queries
-            .iter()
-            .map(|q| QueryNeighborhood::from_index(index, q))
-            .collect();
-        let matrix = SimilarityMatrix::compute(&neighborhoods);
-        let clusters = cluster_queries(&matrix, self.gamma);
+        let clusters = self.cluster(index, queries);
         stats.num_clusters = clusters.len();
         stats.add_stage(Stage::ClusterQuery, start.elapsed());
 
@@ -134,6 +129,16 @@ impl BatchEnum {
         }
         sink.finish();
         stats
+    }
+
+    /// Groups the batch by neighbourhood similarity at threshold γ (Algorithm 2). The
+    /// parallel run clusters through here too, so both runs form the same clusters.
+    pub(crate) fn cluster(&self, index: &BatchIndex, queries: &[PathQuery]) -> Vec<Vec<QueryId>> {
+        let neighborhoods: Vec<QueryNeighborhood> = queries
+            .iter()
+            .map(|q| QueryNeighborhood::from_index(index, q))
+            .collect();
+        cluster_queries(&SimilarityMatrix::compute(&neighborhoods), self.gamma)
     }
 
     /// Detects and evaluates one cluster of queries. Returns the batch-level control

@@ -55,13 +55,6 @@ pub fn cluster_queries(matrix: &SimilarityMatrix, gamma: f64) -> Clusters {
     clusters
 }
 
-/// Convenience: the size distribution of a clustering.
-pub fn cluster_sizes(clusters: &Clusters) -> Vec<usize> {
-    let mut sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
-    sizes.sort_unstable_by(|a, b| b.cmp(a));
-    sizes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +79,6 @@ mod tests {
         let matrix = SimilarityMatrix::compute(&ns);
         let clusters = cluster_queries(&matrix, 0.8);
         assert_eq!(clusters, vec![vec![0, 1], vec![2]]);
-        assert_eq!(cluster_sizes(&clusters), vec![2, 1]);
     }
 
     #[test]

@@ -8,10 +8,7 @@
 use crate::basic_enum::BasicEnum;
 use crate::batch_enum::{BatchEnum, DEFAULT_GAMMA};
 use crate::epoch::{Epoch, EpochAdvance};
-use crate::parallel::{
-    run_pathenum_parallel, run_specs_parallel_pathenum, run_specs_parallel_with_index,
-    ParallelBasicEnum, ParallelBatchEnum, Parallelism, SplitPolicy,
-};
+use crate::parallel::{run_per_query, Parallelism};
 use crate::path::PathSet;
 use crate::pathenum::PathEnum;
 use crate::query::{BatchSummary, PathQuery};
@@ -264,30 +261,6 @@ fn resolve_exists_from_index(index: &BatchIndex, sink: &mut SpecSink, specs: &[Q
     }
 }
 
-/// The spec pre-pass shared by the sequential and parallel pipelines: resolve every
-/// index-answerable `Exists` probe on `sink`, then return the **live** specs (those that
-/// still need enumeration work) together with their original positions. Both pipelines
-/// must filter identically or their byte-identical-responses guarantee breaks — which is
-/// why this exists once.
-fn filter_live_specs(
-    index: &BatchIndex,
-    sink: &mut SpecSink,
-    specs: &[QuerySpec],
-) -> (Vec<QuerySpec>, Vec<usize>) {
-    resolve_exists_from_index(index, sink, specs);
-    // Satisfied specs (index-answered Exists probes, zero-need degenerates) leave the
-    // enumeration batch entirely: they must not cost clustering or detection work.
-    let mut live: Vec<QuerySpec> = Vec::new();
-    let mut route: Vec<usize> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        if sink.remaining_quota(i) != Some(0) {
-            live.push(*spec);
-            route.push(i);
-        }
-    }
-    (live, route)
-}
-
 /// The shared-index spec pipeline: `Exists` fast path, dead-query filtering, then the
 /// configured batch algorithm over the live remainder with id-routed delivery into the
 /// caller's [`SpecSink`]. Not used for `PathEnum` (no shared index by definition).
@@ -298,8 +271,17 @@ fn run_specs_with_index(
     specs: &[QuerySpec],
     sink: &mut SpecSink,
 ) -> EnumStats {
-    let (live, route) = filter_live_specs(index, sink, specs);
-    let live_queries: Vec<PathQuery> = live.iter().map(|s| s.query).collect();
+    resolve_exists_from_index(index, sink, specs);
+    // Satisfied specs (index-answered Exists probes, zero-need degenerates) leave the
+    // enumeration batch entirely: they must not cost clustering or detection work.
+    let mut live_queries: Vec<PathQuery> = Vec::new();
+    let mut route: Vec<usize> = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        if sink.remaining_quota(i) != Some(0) {
+            live_queries.push(spec.query);
+            route.push(i);
+        }
+    }
     let order = config.algorithm().search_order();
     let mut routed = RoutedSink::new(sink, &route);
     let mut stats = match config.algorithm() {
@@ -428,7 +410,6 @@ pub struct Engine {
     graph: Arc<DiGraph>,
     index: Option<BatchIndex>,
     index_root_cap: Option<usize>,
-    parallel_split: SplitPolicy,
     update_refresh_cap: Option<usize>,
     reuse: IndexReuse,
     /// The epoch version [`Engine::graph`] corresponds to (0 unless the engine is driven
@@ -450,7 +431,6 @@ impl Engine {
             graph: graph.into(),
             index: None,
             index_root_cap: None,
-            parallel_split: SplitPolicy::Never,
             update_refresh_cap: Some(DEFAULT_UPDATE_REFRESH_CAP),
             reuse: IndexReuse::default(),
             epoch_id: 0,
@@ -528,20 +508,6 @@ impl Engine {
     /// The configured root cap, if any.
     pub fn index_root_cap(&self) -> Option<usize> {
         self.index_root_cap
-    }
-
-    /// Caps the clusters of the *parallel* run paths (see
-    /// [`ParallelBatchEnum::split`](ParallelBatchEnum)): `Some(c > 0)` splits oversized
-    /// clusters into sub-clusters of at most `c` queries, trading cross-split sharing for
-    /// parallel slack and a bounded shared cache; `Some(0)` and `None` (default) never
-    /// split. Sequential runs are unaffected either way.
-    pub fn set_parallel_cluster_cap(&mut self, cap: Option<usize>) {
-        self.parallel_split = SplitPolicy::from_cap(cap);
-    }
-
-    /// The configured parallel cluster cap, if the policy is a fixed cap.
-    pub fn parallel_cluster_cap(&self) -> Option<usize> {
-        self.parallel_split.cap()
     }
 
     /// Caps the net edge delta one [`Engine::apply_updates`] call maintains
@@ -802,9 +768,11 @@ impl Engine {
     ///
     /// The cached index is prepared exactly as in [`Engine::run_with_sink`]; cluster
     /// evaluation then fans out over `parallelism` worker threads (see
-    /// [`crate::parallel`]). Results are merged deterministically, so the delivered paths
-    /// — per query, including order — are identical to the sequential run.
-    /// `Parallelism::Fixed(1)` degenerates to a single worker.
+    /// [`crate::parallel`]). Results are merged deterministically, so the sink receives
+    /// the sequential run's exact sequence of paths — per query and across queries, and
+    /// therefore the same prefix when it answers `SkipQuery` or `Stop` — for every
+    /// algorithm at every worker count. `Parallelism::Fixed(1)` degenerates to a single
+    /// worker.
     pub fn run_parallel_with_sink<S: PathSink>(
         &mut self,
         queries: &[PathQuery],
@@ -816,25 +784,35 @@ impl Engine {
             return EnumStats::new(0);
         }
         let order = self.config.algorithm().search_order();
+        let per_query = PathEnum::new(order);
         match self.config.algorithm() {
             // The real-time baseline: per-query index by definition, nothing cached; the
             // per-query index builds simply spread over the workers.
             Algorithm::PathEnum => {
-                run_pathenum_parallel(&self.graph, queries, order, parallelism, sink)
+                let graph = &*self.graph;
+                run_per_query(queries, parallelism, sink, |q, local, stats, buf| {
+                    per_query.run_single_buffered(graph, q, 0, local, stats, buf);
+                })
             }
             algorithm => {
                 let summary = BatchSummary::of(queries);
                 let prep_time = self.ensure_index(&summary);
+                let graph = &*self.graph;
                 let index = self.index.as_ref().expect("ensured above");
                 let mut stats = match algorithm {
-                    Algorithm::BasicEnum | Algorithm::BasicEnumPlus => ParallelBasicEnum::new(
-                        order,
+                    Algorithm::BasicEnum | Algorithm::BasicEnumPlus => {
+                        run_per_query(queries, parallelism, sink, |q, local, stats, buf| {
+                            per_query
+                                .run_with_index_buffered(graph, index, q, 0, local, stats, buf);
+                        })
+                    }
+                    _ => BatchEnum::new(order, self.config.gamma()).run_parallel_with_index(
+                        graph,
+                        index,
+                        queries,
                         parallelism,
-                    )
-                    .run_batch_with_index(&self.graph, index, queries, sink),
-                    _ => ParallelBatchEnum::new(order, self.config.gamma(), parallelism)
-                        .with_split_policy(self.parallel_split)
-                        .run_batch_with_index(&self.graph, index, queries, sink),
+                        sink,
+                    ),
                 };
                 stats.add_stage(Stage::BuildIndex, prep_time);
                 stats
@@ -909,70 +887,6 @@ impl Engine {
                     responses: sink.into_responses(),
                     stats,
                 }
-            }
-        }
-    }
-
-    /// [`Engine::run_specs`] on the cluster-sharded parallel executor.
-    ///
-    /// Responses are identical to the sequential [`Engine::run_specs`] — same paths, same
-    /// order, same counts — for the same reason parallel plain batches are lossless:
-    /// every query lives in exactly one similarity cluster, clusters are evaluated by the
-    /// same sequential pipeline inside a worker (including each query's early
-    /// termination), and results merge in deterministic cluster order. The configured
-    /// [`Engine::set_parallel_cluster_cap`] applies as in [`Engine::run_parallel_with_sink`]
-    /// (a cap trades the byte-identical order guarantee for parallel slack, exactly as
-    /// documented there).
-    pub fn run_specs_parallel(
-        &mut self,
-        specs: &[QuerySpec],
-        parallelism: Parallelism,
-    ) -> SpecOutcome {
-        if specs.is_empty() {
-            return SpecOutcome {
-                responses: Vec::new(),
-                stats: EnumStats::new(0),
-            };
-        }
-        let order = self.config.algorithm().search_order();
-        match self.config.algorithm() {
-            Algorithm::PathEnum => {
-                let (responses, stats) =
-                    run_specs_parallel_pathenum(&self.graph, specs, order, parallelism);
-                SpecOutcome { responses, stats }
-            }
-            algorithm => {
-                let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
-                let summary = BatchSummary::of(&queries);
-                let prep_time = self.ensure_index(&summary);
-                let index = self.index.as_ref().expect("ensured above");
-
-                // Exists fast path + dead-spec filtering, via the same helper as the
-                // sequential pipeline; only the live remainder reaches the worker pool.
-                let mut pre = SpecSink::new(specs);
-                let (live, route) = filter_live_specs(index, &mut pre, specs);
-                let shared = matches!(algorithm, Algorithm::BatchEnum | Algorithm::BatchEnumPlus);
-                let (live_responses, mut stats) = run_specs_parallel_with_index(
-                    &self.graph,
-                    index,
-                    &live,
-                    order,
-                    self.config.gamma(),
-                    shared,
-                    if shared {
-                        self.parallel_split
-                    } else {
-                        SplitPolicy::Never
-                    },
-                    parallelism,
-                );
-                stats.add_stage(Stage::BuildIndex, prep_time);
-                stats.num_queries = specs.len();
-                let mut responses = pre.into_responses();
-                for (idx, response) in route.into_iter().zip(live_responses) {
-                    responses[idx] = response;
-                }
-                SpecOutcome { responses, stats }
             }
         }
     }
@@ -1332,31 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cluster_cap_keeps_counts_lossless() {
-        let g = grid(4, 4);
-        let queries = vec![
-            PathQuery::new(0u32, 15u32, 6),
-            PathQuery::new(1u32, 15u32, 6),
-            PathQuery::new(0u32, 14u32, 5),
-            PathQuery::new(4u32, 11u32, 5),
-        ];
-        let mut engine = Engine::new(g.clone(), BatchEngine::default());
-        let expected = engine.run(&queries);
-        let mut capped = Engine::new(g, BatchEngine::default());
-        capped.set_parallel_cluster_cap(Some(1));
-        assert_eq!(capped.parallel_cluster_cap(), Some(1));
-        let outcome = capped.run_batch_parallel(&queries, Parallelism::Fixed(2));
-        let expected_counts: Vec<usize> = expected.paths.iter().map(PathSet::len).collect();
-        let counts: Vec<usize> = outcome.paths.iter().map(PathSet::len).collect();
-        assert_eq!(counts, expected_counts);
-        capped.set_parallel_cluster_cap(Some(0));
-        assert_eq!(capped.parallel_cluster_cap(), None);
-        let uncapped = capped.run_batch_parallel(&queries, Parallelism::Fixed(2));
-        let uncapped_counts: Vec<usize> = uncapped.paths.iter().map(PathSet::len).collect();
-        assert_eq!(uncapped_counts, expected_counts);
-    }
-
-    #[test]
     fn run_batch_parallel_reuses_the_cached_index() {
         let g = grid(4, 4);
         let mut engine = Engine::new(g, BatchEngine::default());
@@ -1482,37 +1371,6 @@ mod tests {
     }
 
     #[test]
-    fn run_specs_parallel_matches_sequential_for_mixed_modes() {
-        let g = grid(4, 4);
-        let queries = [
-            PathQuery::new(0u32, 15u32, 6),
-            PathQuery::new(1u32, 15u32, 6),
-            PathQuery::new(0u32, 14u32, 5),
-            PathQuery::new(4u32, 11u32, 5),
-            PathQuery::new(2u32, 15u32, 6),
-        ];
-        let specs = vec![
-            QuerySpec::exists(queries[0]),
-            QuerySpec::count(queries[1]),
-            QuerySpec::first_k(queries[2], 3),
-            QuerySpec::collect(queries[3]),
-            QuerySpec::count(queries[4]).with_path_budget(5),
-        ];
-        for algorithm in Algorithm::ALL {
-            let mut sequential = Engine::with_algorithm(g.clone(), algorithm);
-            let expected = sequential.run_specs(&specs);
-            for workers in [1, 2, 4] {
-                let mut engine = Engine::with_algorithm(g.clone(), algorithm);
-                let outcome = engine.run_specs_parallel(&specs, Parallelism::Fixed(workers));
-                assert_eq!(
-                    outcome.responses, expected.responses,
-                    "{algorithm} with {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn spec_batches_reuse_the_cached_index() {
         let g = grid(4, 4);
         let mut engine = Engine::new(g, BatchEngine::default());
@@ -1525,10 +1383,6 @@ mod tests {
         assert_eq!(outcome.stats.counters.expanded_vertices, 0);
         // Empty spec batches are no-ops.
         assert!(engine.run_specs(&[]).responses.is_empty());
-        assert!(engine
-            .run_specs_parallel(&[], Parallelism::Fixed(2))
-            .responses
-            .is_empty());
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //!   This is the building block of the micro-batching serving layer (`hcsp-service`).
 //! * [`spec`] — the typed request/response surface: a [`spec::QuerySpec`] pairs a query
 //!   with a [`spec::ResultMode`] (`Exists | Count | FirstK(k) | Collect`, plus an
-//!   optional path budget) and [`engine::Engine::run_specs`] /
-//!   [`engine::Engine::run_specs_parallel`] answer mixed-mode batches over one shared
-//!   index, stopping each query the moment its mode is satisfied (the [`sink::SinkFlow`]
-//!   verdicts every enumeration core honours).
+//!   optional path budget) and [`engine::Engine::run_specs`] answers mixed-mode batches
+//!   over one shared index, stopping each query the moment its mode is satisfied (the
+//!   [`sink::SinkFlow`] verdicts every enumeration core honours).
+//! * [`parallel`] — the cluster-sharded worker pool behind
+//!   [`engine::Engine::run_parallel_with_sink`], byte-identical to the sequential run.
 //!
 //! ## Quick example
 //!
@@ -74,7 +75,7 @@ pub use engine::{
     DEFAULT_UPDATE_REFRESH_CAP,
 };
 pub use epoch::{DurabilitySink, Epoch, EpochAdvance, EpochPublisher, MAX_EPOCH_DELTAS};
-pub use parallel::{ParallelBasicEnum, ParallelBatchEnum, Parallelism, SplitPolicy};
+pub use parallel::Parallelism;
 pub use path::{Path, PathSet};
 pub use pathenum::PathEnum;
 pub use query::{BatchSummary, HcsQuery, PathQuery, QueryId};

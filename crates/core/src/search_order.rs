@@ -18,25 +18,3 @@ pub enum SearchOrder {
     /// `BasicEnum+` / `BatchEnum+`.
     DistanceThenDegree,
 }
-
-impl SearchOrder {
-    /// Human-readable suffix used by experiment output ("" or "+").
-    pub fn suffix(self) -> &'static str {
-        match self {
-            SearchOrder::VertexId => "",
-            SearchOrder::DistanceThenDegree => "+",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suffixes() {
-        assert_eq!(SearchOrder::VertexId.suffix(), "");
-        assert_eq!(SearchOrder::DistanceThenDegree.suffix(), "+");
-        assert_eq!(SearchOrder::default(), SearchOrder::VertexId);
-    }
-}

@@ -89,7 +89,7 @@ pub struct EnumStats {
     pub peak_cached_results: usize,
     /// Effective shards the parallel scheduler planned (0 for sequential runs). A batch
     /// whose clusters all collapse into one steal unit reports 1 here regardless of the
-    /// worker count — the signal the intra-cluster split policy exists to fix.
+    /// worker count: such a batch runs on one worker.
     pub num_shards: usize,
 }
 

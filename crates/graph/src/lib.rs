@@ -39,7 +39,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod delta;
 pub mod digraph;

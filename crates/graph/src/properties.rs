@@ -62,14 +62,6 @@ impl GraphStats {
             isolated_vertices: isolated,
         }
     }
-
-    /// Formats the statistics as a Table-I style row: `name |V| |E| d_avg d_max`.
-    pub fn table_row(&self, name: &str) -> String {
-        format!(
-            "{:<12} {:>10} {:>12} {:>8.1} {:>10}",
-            name, self.num_vertices, self.num_edges, self.avg_degree, self.max_degree
-        )
-    }
 }
 
 /// Fraction of `samples` random ordered vertex pairs `(s, t)` where `t` is reachable from
@@ -146,14 +138,6 @@ mod tests {
         let s = GraphStats::compute(&g);
         assert_eq!(s.num_vertices, 0);
         assert_eq!(s.avg_degree, 0.0);
-    }
-
-    #[test]
-    fn table_row_contains_name_and_counts() {
-        let row = GraphStats::compute(&path(4)).table_row("PATH");
-        assert!(row.contains("PATH"));
-        assert!(row.contains('4'));
-        assert!(row.contains('3'));
     }
 
     #[test]

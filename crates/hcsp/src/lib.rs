@@ -80,10 +80,10 @@ pub mod server {
 pub mod prelude {
     pub use hcsp_core::{
         Algorithm, BatchEngine, BatchOutcome, CallbackSink, CollectSink, ControlSink, CountSink,
-        Engine, EnumStats, Epoch, EpochAdvance, EpochPublisher, MicroBatchStats, ParallelBasicEnum,
-        ParallelBatchEnum, Parallelism, Path, PathQuery, PathSet, PathSink, QueryResponse,
-        QuerySpec, ResultMode, SearchBuffers, SearchOrder, ServiceStats, SinkFlow, SpecOutcome,
-        SpecSink, SplitPolicy, Stage, UpdateSummary, MAX_EPOCH_DELTAS,
+        Engine, EnumStats, Epoch, EpochAdvance, EpochPublisher, MicroBatchStats, Parallelism, Path,
+        PathQuery, PathSet, PathSink, QueryResponse, QuerySpec, ResultMode, SearchBuffers,
+        SearchOrder, ServiceStats, SinkFlow, SpecOutcome, SpecSink, Stage, UpdateSummary,
+        MAX_EPOCH_DELTAS,
     };
     pub use hcsp_graph::{DeltaGraph, DiGraph, Direction, GraphBuilder, GraphUpdate, VertexId};
     pub use hcsp_index::BatchIndex;

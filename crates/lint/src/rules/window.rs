@@ -13,13 +13,14 @@ use crate::{Diagnostic, SourceFile};
 
 /// Entry points that consult the index (directly or transitively) and
 /// therefore must never run inside the open window.
-const QUERY_ENTRIES: [&str; 9] = [
+const QUERY_ENTRIES: [&str; 10] = [
     "ensure_index",
     "run_batch",
     "run_batch_with_index",
+    "run_batch_parallel",
     "run_specs",
-    "run_specs_parallel",
     "run_with_sink",
+    "run_parallel_with_sink",
     "run_counting",
     "run_single_buffered",
     "enumerate_half_with",

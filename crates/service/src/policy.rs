@@ -13,11 +13,9 @@ use std::time::Duration;
 /// Micro-batch admission policy: a batch closes when it reaches `max_batch_size` queries
 /// or when `max_delay` has elapsed since its first query arrived, whichever comes first.
 ///
-/// The policy also carries the *execution* knob of a micro-batch:
-/// [`BatchPolicy::exec_threads`] selects how many worker threads the engine uses per
-/// micro-batch (the cluster-sharded parallel executor of `hcsp_core::parallel`). The
-/// admission knobs shape batches; the execution knob turns cores into throughput once a
-/// batch is formed.
+/// Each micro-batch executes sequentially on one service worker, so it shares work across
+/// its whole batch; the service scales across micro-batches with more workers
+/// (`PathServiceBuilder::workers`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum number of queries per micro-batch (at least 1).
@@ -25,32 +23,25 @@ pub struct BatchPolicy {
     /// Maximum time the first query of a window waits before the batch is dispatched.
     /// `Duration::ZERO` dispatches every query on its own (per-query execution).
     pub max_delay: Duration,
-    /// Worker threads used to *execute* one micro-batch (at least 1). `1` runs the
-    /// sequential engine; `n > 1` runs the cluster-sharded parallel engine with `n`
-    /// workers. Parallel execution is lossless: per-query results are identical to the
-    /// sequential engine's.
-    pub exec_threads: usize,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
         // A small window: enough to catch co-arriving queries under load, small enough
-        // that an idle service stays responsive. Sequential execution by default.
+        // that an idle service stays responsive.
         BatchPolicy {
             max_batch_size: 64,
             max_delay: Duration::from_millis(10),
-            exec_threads: 1,
         }
     }
 }
 
 impl BatchPolicy {
-    /// A policy with an explicit size cap and deadline window (sequential execution).
+    /// A policy with an explicit size cap and deadline window.
     pub fn new(max_batch_size: usize, max_delay: Duration) -> Self {
         BatchPolicy {
             max_batch_size: max_batch_size.max(1),
             max_delay,
-            exec_threads: 1,
         }
     }
 
@@ -59,7 +50,6 @@ impl BatchPolicy {
         BatchPolicy {
             max_batch_size: 1,
             max_delay: Duration::ZERO,
-            exec_threads: 1,
         }
     }
 
@@ -69,21 +59,9 @@ impl BatchPolicy {
         BatchPolicy::new(n, max_delay)
     }
 
-    /// Returns the policy with micro-batches executed on `threads` worker threads
-    /// (values of 0 are treated as 1; 1 keeps the sequential engine).
-    pub fn with_exec_threads(mut self, threads: usize) -> Self {
-        self.exec_threads = threads.max(1);
-        self
-    }
-
     /// Whether the policy degenerates to per-query execution (no admission wait at all).
     pub fn is_per_query(&self) -> bool {
         self.max_batch_size <= 1 || self.max_delay.is_zero()
-    }
-
-    /// Whether micro-batches execute on the parallel engine.
-    pub fn is_parallel(&self) -> bool {
-        self.exec_threads > 1
     }
 }
 
@@ -106,17 +84,5 @@ mod tests {
         assert!(BatchPolicy::immediate().is_per_query());
         assert!(BatchPolicy::new(100, Duration::ZERO).is_per_query());
         assert!(!BatchPolicy::default().is_per_query());
-    }
-
-    #[test]
-    fn exec_threads_normalise_and_toggle_parallel_mode() {
-        assert_eq!(BatchPolicy::default().exec_threads, 1);
-        assert!(!BatchPolicy::default().is_parallel());
-        let p = BatchPolicy::default().with_exec_threads(4);
-        assert_eq!(p.exec_threads, 4);
-        assert!(p.is_parallel());
-        let p = BatchPolicy::immediate().with_exec_threads(0);
-        assert_eq!(p.exec_threads, 1);
-        assert!(!p.is_parallel());
     }
 }

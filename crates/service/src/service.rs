@@ -32,8 +32,8 @@
 
 use crate::policy::BatchPolicy;
 use hcsp_core::{
-    BatchEngine, DurabilitySink, Engine, Epoch, EpochPublisher, MicroBatchStats, Parallelism,
-    PathQuery, PathSet, QueryResponse, QuerySpec, ServiceStats, UpdateSummary,
+    BatchEngine, DurabilitySink, Engine, Epoch, EpochPublisher, MicroBatchStats, PathQuery,
+    PathSet, QueryResponse, QuerySpec, ServiceStats, UpdateSummary,
 };
 use hcsp_graph::{DiGraph, GraphUpdate};
 use hcsp_storage::snapshot::write_snapshot;
@@ -693,7 +693,6 @@ pub struct PathServiceBuilder {
     policy: BatchPolicy,
     workers: usize,
     index_root_cap: Option<usize>,
-    parallel_cluster_cap: Option<usize>,
     durability: DurabilityOptions,
 }
 
@@ -704,19 +703,10 @@ impl Default for PathServiceBuilder {
             policy: BatchPolicy::default(),
             workers: 1,
             index_root_cap: None,
-            parallel_cluster_cap: None,
             durability: DurabilityOptions::default(),
         }
     }
 }
-
-/// Default similarity-cluster cap applied when micro-batches execute in parallel
-/// (`exec_threads > 1`) and no explicit cap was configured. Micro-batching exists to form
-/// *cohesive* batches, which routinely collapse into a single similarity cluster — one
-/// cluster is one parallel unit, so without a cap the extra threads would idle. Eight
-/// queries per sub-cluster keeps strong intra-cluster sharing while giving a typical
-/// micro-batch several parallel units.
-const DEFAULT_PARALLEL_CLUSTER_CAP: usize = 8;
 
 impl PathServiceBuilder {
     /// The per-batch engine configuration (algorithm + γ); default `BatchEnum+`.
@@ -732,8 +722,9 @@ impl PathServiceBuilder {
     }
 
     /// Number of worker threads executing micro-batches (each owns a reusable [`Engine`];
-    /// values of 0 are treated as 1). One worker guarantees micro-batches execute in
-    /// admission order.
+    /// values of 0 are treated as 1). This is how the service scales: a micro-batch runs
+    /// sequentially on one worker, and workers run micro-batches side by side. One worker
+    /// guarantees micro-batches execute in admission order.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -746,15 +737,6 @@ impl PathServiceBuilder {
     /// of one-off endpoints.
     pub fn index_root_cap(mut self, cap: usize) -> Self {
         self.index_root_cap = Some(cap);
-        self
-    }
-
-    /// Caps the similarity-cluster size of *parallel* micro-batch execution (see
-    /// [`Engine::set_parallel_cluster_cap`]). Only consulted when the policy's
-    /// `exec_threads > 1`; defaults to a small cap in that case so that a cohesive
-    /// micro-batch (often one big similarity cluster) still yields parallel units.
-    pub fn parallel_cluster_cap(mut self, cap: usize) -> Self {
-        self.parallel_cluster_cap = Some(cap);
         self
     }
 
@@ -883,26 +865,7 @@ impl PathServiceBuilder {
                 let stats = Arc::clone(&stats);
                 let config = self.config;
                 let root_cap = self.index_root_cap;
-                let exec_threads = self.policy.exec_threads.max(1);
-                let cluster_cap = if exec_threads > 1 {
-                    Some(
-                        self.parallel_cluster_cap
-                            .unwrap_or(DEFAULT_PARALLEL_CLUSTER_CAP),
-                    )
-                } else {
-                    None
-                };
-                std::thread::spawn(move || {
-                    worker_loop(
-                        epoch,
-                        config,
-                        root_cap,
-                        exec_threads,
-                        cluster_cap,
-                        batch_rx,
-                        stats,
-                    )
-                })
+                std::thread::spawn(move || worker_loop(epoch, config, root_cap, batch_rx, stats))
             })
             .collect();
 
@@ -975,21 +938,16 @@ fn batcher_loop(rx: Receiver<Submission>, batch_tx: Sender<MicroBatch>, policy: 
 /// Before running a batch, the engine advances to the batch's pinned epoch
 /// ([`Engine::advance_to_epoch`]): a no-op when already there, an incremental index
 /// maintenance step when the epochs' retained deltas cover the gap, an index
-/// invalidation otherwise — never a barrier against other workers. `exec_threads > 1`
-/// runs each micro-batch on the cluster-sharded parallel executor, with `cluster_cap`
-/// bounding the similarity clusters so cohesive batches still split into parallel units.
+/// invalidation otherwise — never a barrier against other workers.
 fn worker_loop(
     epoch_cell: Arc<EpochCell>,
     config: BatchEngine,
     root_cap: Option<usize>,
-    exec_threads: usize,
-    cluster_cap: Option<usize>,
     batch_rx: Arc<Mutex<Receiver<MicroBatch>>>,
     stats: Arc<Mutex<ServiceStats>>,
 ) {
     let mut engine = Engine::at_epoch(&epoch_cell.tip(), config);
     engine.set_index_root_cap(root_cap);
-    engine.set_parallel_cluster_cap(cluster_cap);
     loop {
         // Hold the lock only while waiting for one item; the next worker queues on the
         // mutex, so batches spread across the pool without a work-stealing scheduler.
@@ -1007,12 +965,7 @@ fn worker_loop(
         // fresh engine at the batch's epoch — the cached index may be mid-mutation.
         let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let advance = engine.advance_to_epoch(&batch.epoch);
-            let outcome = if exec_threads > 1 {
-                engine.run_specs_parallel(&specs, Parallelism::Fixed(exec_threads))
-            } else {
-                engine.run_specs(&specs)
-            };
-            (advance, outcome)
+            (advance, engine.run_specs(&specs))
         }));
         let (advance, outcome) = match executed {
             Ok(pair) => pair,
@@ -1021,7 +974,6 @@ fn worker_loop(
                 drop(batch);
                 let mut fresh = Engine::at_epoch(&epoch, config);
                 fresh.set_index_root_cap(root_cap);
-                fresh.set_parallel_cluster_cap(cluster_cap);
                 engine = fresh;
                 continue;
             }
@@ -1572,36 +1524,6 @@ mod tests {
         assert_eq!(counts, expected);
         let stats = service.shutdown();
         assert_eq!(stats.num_queries, 12);
-    }
-
-    #[test]
-    fn parallel_exec_threads_serve_identical_results() {
-        let graph = grid(4, 4);
-        let queries = grid_queries();
-        let expected = offline_counts(&graph, &queries);
-
-        for (exec_threads, explicit_cap) in [(2, None), (4, None), (2, Some(1))] {
-            let mut builder = PathService::builder().policy(
-                BatchPolicy::by_size(queries.len(), Duration::from_millis(200))
-                    .with_exec_threads(exec_threads),
-            );
-            if let Some(cap) = explicit_cap {
-                builder = builder.parallel_cluster_cap(cap);
-            }
-            let service = builder.start(graph.clone()).unwrap();
-            let handles = service.submit_all(queries.clone());
-            let counts: Vec<u64> = handles
-                .into_iter()
-                .map(|h| h.wait().paths.len() as u64)
-                .collect();
-            assert_eq!(
-                counts, expected,
-                "exec_threads = {exec_threads}, cap = {explicit_cap:?}"
-            );
-            let stats = service.shutdown();
-            assert_eq!(stats.num_queries, queries.len());
-            assert_eq!(stats.produced_paths, expected.iter().sum::<u64>());
-        }
     }
 
     #[test]

@@ -60,21 +60,6 @@ impl ModeMix {
         self
     }
 
-    /// A mix containing only one mode (for A/B comparisons between modes).
-    pub fn only(mode: ResultMode) -> Self {
-        let mut mix = ModeMix::new(0, 0, 0, 0);
-        match mode {
-            ResultMode::Exists => mix.exists = 1,
-            ResultMode::Count => mix.count = 1,
-            ResultMode::FirstK(k) => {
-                mix.first_k = 1;
-                mix.first_k_paths = k.max(1);
-            }
-            ResultMode::Collect => mix.collect = 1,
-        }
-        mix
-    }
-
     /// Total weight (0 means "always Collect").
     fn total(&self) -> u32 {
         self.exists + self.count + self.first_k + self.collect
@@ -151,12 +136,13 @@ mod tests {
     fn single_mode_mixes_assign_uniformly() {
         let g = Dataset::WT.build(DatasetScale::Tiny);
         let spec = QuerySetSpec::new(12, 3).with_hops(3, 4);
-        let exists = mixed_mode_query_set(&g, spec, ModeMix::only(ResultMode::Exists));
+        let exists = mixed_mode_query_set(&g, spec, ModeMix::new(1, 0, 0, 0));
         assert!(exists.iter().all(|s| s.mode == ResultMode::Exists));
-        let first = mixed_mode_query_set(&g, spec, ModeMix::only(ResultMode::FirstK(7)));
+        let first_k = ModeMix::new(0, 0, 1, 0).with_first_k_paths(7);
+        let first = mixed_mode_query_set(&g, spec, first_k);
         assert!(first.iter().all(|s| s.mode == ResultMode::FirstK(7)));
         // The underlying queries are the paper's rule, independent of the mix.
-        let collect = mixed_mode_query_set(&g, spec, ModeMix::only(ResultMode::Collect));
+        let collect = mixed_mode_query_set(&g, spec, ModeMix::new(0, 0, 0, 1));
         let qs: Vec<_> = exists.iter().map(|s| s.query).collect();
         let qs2: Vec<_> = collect.iter().map(|s| s.query).collect();
         assert_eq!(qs, qs2);
@@ -167,7 +153,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mix = ModeMix::new(0, 0, 0, 0);
         assert_eq!(mix.draw(&mut rng), ResultMode::Collect);
-        assert_eq!(ModeMix::only(ResultMode::FirstK(0)).first_k_paths, 1);
         assert_eq!(ModeMix::default().with_first_k_paths(0).first_k_paths, 1);
     }
 }

@@ -56,19 +56,35 @@ fn collect_sequential_batch(graph: &DiGraph, queries: &[PathQuery]) -> (CollectS
     (sink, stats)
 }
 
+/// One parallel run on a fresh engine (so it builds the index from the batch alone, as
+/// the one-shot sequential runners do).
+fn run_parallel(
+    algorithm: Algorithm,
+    graph: &DiGraph,
+    queries: &[PathQuery],
+    workers: usize,
+) -> (CollectSink, EnumStats) {
+    let config = BatchEngine::builder()
+        .algorithm(algorithm)
+        .gamma(0.5)
+        .build();
+    let mut sink = CollectSink::new(queries.len());
+    let stats = Engine::new(graph.clone(), config).run_parallel_with_sink(
+        queries,
+        Parallelism::Fixed(workers),
+        &mut sink,
+    );
+    (sink, stats)
+}
+
 #[test]
 fn parallel_batch_enum_is_byte_identical_to_sequential_at_every_thread_count() {
     for (name, graph, queries) in workloads() {
         assert!(!queries.is_empty(), "workload {name} generated no queries");
         let (sequential, seq_stats) = collect_sequential_batch(&graph, &queries);
         for workers in THREAD_COUNTS {
-            let mut parallel = CollectSink::new(queries.len());
-            let par_stats = ParallelBatchEnum::new(
-                SearchOrder::DistanceThenDegree,
-                0.5,
-                Parallelism::Fixed(workers),
-            )
-            .run_batch(&graph, &queries, &mut parallel);
+            let (parallel, par_stats) =
+                run_parallel(Algorithm::BatchEnumPlus, &graph, &queries, workers);
 
             // Exactly the sequential path set: same paths, same per-query order.
             assert_eq!(
@@ -94,13 +110,9 @@ fn parallel_batch_enum_is_byte_identical_to_sequential_at_every_thread_count() {
 #[test]
 fn parallel_runs_are_deterministic_across_repetitions() {
     for (name, graph, queries) in workloads() {
-        let runner =
-            ParallelBatchEnum::new(SearchOrder::DistanceThenDegree, 0.5, Parallelism::Fixed(4));
-        let mut first = CollectSink::new(queries.len());
-        let first_stats = runner.run_batch(&graph, &queries, &mut first);
+        let (first, first_stats) = run_parallel(Algorithm::BatchEnumPlus, &graph, &queries, 4);
         for _ in 0..2 {
-            let mut again = CollectSink::new(queries.len());
-            let again_stats = runner.run_batch(&graph, &queries, &mut again);
+            let (again, again_stats) = run_parallel(Algorithm::BatchEnumPlus, &graph, &queries, 4);
             assert_eq!(again.all(), first.all(), "{name}: nondeterministic output");
             assert_eq!(
                 again_stats.counters, first_stats.counters,
@@ -121,16 +133,12 @@ fn parallel_basic_enum_matches_sequential_basic_enum() {
             &mut sequential,
         );
         for workers in THREAD_COUNTS {
-            let mut parallel = CollectSink::new(queries.len());
-            let par_stats = ParallelBasicEnum::new(
-                SearchOrder::DistanceThenDegree,
-                Parallelism::Fixed(workers),
-            )
-            .run_batch(&graph, &queries, &mut parallel);
+            let (parallel, par_stats) =
+                run_parallel(Algorithm::BasicEnumPlus, &graph, &queries, workers);
             assert_eq!(
                 parallel.all(),
                 sequential.all(),
-                "{name}: ParallelBasicEnum diverges at {workers} workers"
+                "{name}: parallel BasicEnum+ diverges at {workers} workers"
             );
             assert_eq!(par_stats.counters, seq_stats.counters, "{name}");
         }

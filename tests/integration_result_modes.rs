@@ -1,8 +1,7 @@
-//! Cross-validation of the typed request/response API: for every algorithm, sequential
-//! and parallel, offline and through the service, the weak result modes must agree with
-//! full enumeration — `Exists ⇔ count > 0`, `Count` equals the full result count,
-//! `FirstK(k)` is a prefix of `Collect` — while mixed-mode batches stay byte-identical
-//! between sequential and parallel execution.
+//! Cross-validation of the typed request/response API: for every algorithm, offline and
+//! through the service, the weak result modes must agree with full enumeration —
+//! `Exists ⇔ count > 0`, `Count` equals the full result count, `FirstK(k)` is a prefix of
+//! `Collect`.
 
 use hcsp::prelude::*;
 use hcsp::service::{BatchPolicy, PathService};
@@ -121,34 +120,6 @@ fn modes_agree_with_full_enumeration_for_every_algorithm() {
 }
 
 #[test]
-fn parallel_spec_runs_match_sequential_for_every_algorithm() {
-    let (graph, queries) = workload();
-    // A mixed-mode batch: every mode in one admission, sharing one index.
-    let specs: Vec<QuerySpec> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, &q)| match i % 4 {
-            0 => QuerySpec::exists(q),
-            1 => QuerySpec::count(q),
-            2 => QuerySpec::first_k(q, 2),
-            _ => QuerySpec::collect(q),
-        })
-        .collect();
-    for algorithm in Algorithm::ALL {
-        let mut sequential = Engine::with_algorithm(graph.clone(), algorithm);
-        let expected = sequential.run_specs(&specs);
-        for workers in [2, 4] {
-            let mut engine = Engine::with_algorithm(graph.clone(), algorithm);
-            let outcome = engine.run_specs_parallel(&specs, Parallelism::Fixed(workers));
-            assert_eq!(
-                outcome.responses, expected.responses,
-                "{algorithm} at {workers} threads must be byte-identical to sequential"
-            );
-        }
-    }
-}
-
-#[test]
 fn early_termination_saves_search_work_on_the_dense_workload() {
     let (graph, queries) = workload();
     for algorithm in [Algorithm::BasicEnumPlus, Algorithm::BatchEnumPlus] {
@@ -208,22 +179,14 @@ fn mixed_mode_batches_are_lossless_through_the_service() {
     let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
     let reference = BatchEngine::default().run(&graph, &queries);
 
-    for (policy_label, policy, workers, exec_threads) in [
-        ("immediate", BatchPolicy::immediate(), 1, 1),
+    for (policy_label, policy, workers) in [
+        ("immediate", BatchPolicy::immediate(), 1),
         (
             "windows",
             BatchPolicy::by_size(6, Duration::from_millis(30)),
             2,
-            1,
-        ),
-        (
-            "parallel-exec",
-            BatchPolicy::by_size(8, Duration::from_millis(30)).with_exec_threads(2),
-            1,
-            2,
         ),
     ] {
-        assert!(exec_threads >= 1);
         let service = PathService::builder()
             .policy(policy)
             .workers(workers)

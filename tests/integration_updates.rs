@@ -92,7 +92,7 @@ fn parallel_update_path_is_byte_identical_to_rebuild() {
 
 /// Replays a mixed stream through a `PathService`, checking every delivered path set
 /// against the offline oracle for the snapshot the query was admitted under.
-fn service_stream_is_lossless(workers: usize, exec_threads: usize) {
+fn service_stream_is_lossless(workers: usize) {
     let graph = Dataset::WT.build(DatasetScale::Tiny);
     let spec = UpdateStreamSpec::new(16, 6, 5)
         .with_hops(3, 4)
@@ -101,7 +101,7 @@ fn service_stream_is_lossless(workers: usize, exec_threads: usize) {
 
     let service = PathService::builder()
         .workers(workers)
-        .policy(BatchPolicy::by_size(4, Duration::from_millis(5)).with_exec_threads(exec_threads))
+        .policy(BatchPolicy::by_size(4, Duration::from_millis(5)))
         .start(graph.clone())
         .unwrap();
 
@@ -141,7 +141,7 @@ fn service_stream_is_lossless(workers: usize, exec_threads: usize) {
         assert_eq!(
             vec![result.paths],
             expected,
-            "service ({workers} workers, {exec_threads} exec threads) lost losslessness \
+            "service ({workers} workers) lost losslessness \
              on {query} against its admission snapshot"
         );
     }
@@ -149,17 +149,12 @@ fn service_stream_is_lossless(workers: usize, exec_threads: usize) {
 
 #[test]
 fn service_with_interleaved_updates_is_lossless_single_worker() {
-    service_stream_is_lossless(1, 1);
+    service_stream_is_lossless(1);
 }
 
 #[test]
 fn service_with_interleaved_updates_is_lossless_across_a_pool() {
-    service_stream_is_lossless(3, 1);
-}
-
-#[test]
-fn service_with_interleaved_updates_is_lossless_with_parallel_execution() {
-    service_stream_is_lossless(2, 2);
+    service_stream_is_lossless(3);
 }
 
 #[test]

@@ -249,7 +249,9 @@ proptest! {
     /// An aborted run is a prefix of the full run: a sink that answers `SkipQuery` after
     /// `per_query` paths of a query receives exactly the first `per_query` paths of that
     /// query, and one that answers `Stop` after `total` paths receives exactly the first
-    /// `total` paths of the batch — same paths, same order as the unaborted run.
+    /// `total` paths of the batch — same paths, same order as the unaborted run. The same
+    /// holds through `Engine::run_parallel_with_sink` on two workers, whose full run equals
+    /// the sequential one.
     #[test]
     fn aborted_run_is_a_prefix_of_the_full_run(
         (graph, queries) in workload_strategy(),
@@ -259,7 +261,7 @@ proptest! {
         for algorithm in Algorithm::ALL {
             let engine = BatchEngine::with_algorithm(algorithm);
             // `verdict(paths seen so far, paths of this query seen so far)`.
-            let run = |verdict: &dyn Fn(usize, usize) -> SinkFlow| {
+            let run = |verdict: &dyn Fn(usize, usize) -> SinkFlow, parallel: bool| {
                 let mut seen: Vec<(usize, Vec<VertexId>)> = Vec::new();
                 let mut per = vec![0usize; queries.len()];
                 let mut sink = ControlSink::new(|q, p: &[VertexId]| {
@@ -267,30 +269,64 @@ proptest! {
                     per[q] += 1;
                     verdict(seen.len(), per[q])
                 });
-                engine.run_with_sink(&graph, &queries, &mut sink);
+                if parallel {
+                    Engine::new(graph.clone(), engine).run_parallel_with_sink(
+                        &queries,
+                        Parallelism::Fixed(2),
+                        &mut sink,
+                    );
+                } else {
+                    engine.run_with_sink(&graph, &queries, &mut sink);
+                }
                 seen
             };
-            let full = run(&|_, _| SinkFlow::Continue);
+            let full = run(&|_, _| SinkFlow::Continue, false);
+            prop_assert_eq!(
+                &run(&|_, _| SinkFlow::Continue, true),
+                &full,
+                "parallel full run under {}",
+                algorithm
+            );
 
-            let skipped = run(&|_, of_query| {
-                if of_query >= per_query { SinkFlow::SkipQuery } else { SinkFlow::Continue }
-            });
-            let mut kept = vec![0usize; queries.len()];
-            let expected: Vec<_> = full
-                .iter()
-                .filter(|(q, _)| {
-                    kept[*q] += 1;
-                    kept[*q] <= per_query
-                })
-                .cloned()
-                .collect();
-            prop_assert_eq!(&skipped, &expected, "SkipQuery after {} under {}", per_query, algorithm);
+            for parallel in [false, true] {
+                let skipped = run(
+                    &|_, of_query| {
+                        if of_query >= per_query { SinkFlow::SkipQuery } else { SinkFlow::Continue }
+                    },
+                    parallel,
+                );
+                let mut kept = vec![0usize; queries.len()];
+                let expected: Vec<_> = full
+                    .iter()
+                    .filter(|(q, _)| {
+                        kept[*q] += 1;
+                        kept[*q] <= per_query
+                    })
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(
+                    &skipped,
+                    &expected,
+                    "SkipQuery after {} under {} (parallel: {})",
+                    per_query,
+                    algorithm,
+                    parallel
+                );
 
-            let stopped = run(&|overall, _| {
-                if overall >= total { SinkFlow::Stop } else { SinkFlow::Continue }
-            });
-            let expected = &full[..total.min(full.len())];
-            prop_assert_eq!(&stopped[..], expected, "Stop after {} under {}", total, algorithm);
+                let stopped = run(
+                    &|overall, _| if overall >= total { SinkFlow::Stop } else { SinkFlow::Continue },
+                    parallel,
+                );
+                let expected = &full[..total.min(full.len())];
+                prop_assert_eq!(
+                    &stopped[..],
+                    expected,
+                    "Stop after {} under {} (parallel: {})",
+                    total,
+                    algorithm,
+                    parallel
+                );
+            }
         }
     }
 
