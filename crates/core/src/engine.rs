@@ -1427,6 +1427,117 @@ mod tests {
             .is_empty());
     }
 
+    /// One engine per algorithm through a scripted call sequence — plain run, covered
+    /// spec batch (a hit), empty spec batch, parallel run on new endpoints (an
+    /// extension), spec batch at a larger k (a rebuild) — with the exact index-reuse
+    /// accounting and the batch's query, cluster and search counts after every call.
+    #[test]
+    fn scripted_engine_calls_report_exact_reuse_and_counters() {
+        type Step = (IndexReuse, usize, usize, [u64; 6]);
+        fn step(engine: &Engine, stats: &EnumStats) -> Step {
+            let c = stats.counters;
+            (
+                engine.index_reuse(),
+                stats.num_queries,
+                stats.num_clusters,
+                [
+                    c.expanded_vertices,
+                    c.scanned_edges,
+                    c.pruned_edges,
+                    c.stored_prefixes,
+                    c.cache_splices,
+                    c.produced_paths,
+                ],
+            )
+        }
+        fn reuse(
+            rebuilds: usize,
+            extensions: usize,
+            hits: usize,
+            roots_added: usize,
+        ) -> IndexReuse {
+            IndexReuse {
+                rebuilds,
+                extensions,
+                hits,
+                roots_added,
+                ..Default::default()
+            }
+        }
+        let g = grid(4, 4);
+        let plain = [
+            PathQuery::new(0u32, 15u32, 6),
+            PathQuery::new(1u32, 15u32, 6),
+        ];
+        let covered = [
+            QuerySpec::exists(PathQuery::new(0u32, 15u32, 6)),
+            QuerySpec::count(PathQuery::new(1u32, 15u32, 5)),
+            QuerySpec::first_k(PathQuery::new(0u32, 15u32, 5), 2),
+        ];
+        let extension = [
+            PathQuery::new(4u32, 11u32, 5),
+            PathQuery::new(0u32, 14u32, 6),
+        ];
+        let larger_k = [
+            QuerySpec::count(PathQuery::new(0u32, 15u32, 8)),
+            QuerySpec::first_k(PathQuery::new(4u32, 11u32, 7), 3),
+            QuerySpec::exists(PathQuery::new(15u32, 0u32, 8)),
+        ];
+        // The spec batches report every spec in `num_queries`, while `num_clusters` counts
+        // only the queries left to enumerate after the index answered the `Exists` probes.
+        let golden: [(Algorithm, [Step; 5]); 3] = [
+            (
+                Algorithm::PathEnum,
+                [
+                    (reuse(0, 0, 0, 0), 2, 2, [58, 55, 1, 58, 0, 30]),
+                    (reuse(0, 0, 0, 0), 3, 3, [42, 43, 4, 37, 0, 11]),
+                    (reuse(0, 0, 0, 0), 0, 0, [0; 6]),
+                    (reuse(0, 0, 0, 0), 2, 2, [44, 45, 5, 44, 0, 14]),
+                    (reuse(0, 0, 0, 0), 3, 3, [78, 77, 4, 69, 0, 23]),
+                ],
+            ),
+            (
+                Algorithm::BasicEnumPlus,
+                [
+                    (reuse(1, 0, 0, 0), 2, 2, [58, 55, 1, 58, 0, 30]),
+                    (reuse(1, 0, 1, 0), 3, 2, [23, 23, 4, 22, 0, 10]),
+                    (reuse(1, 0, 1, 0), 0, 0, [0; 6]),
+                    (reuse(1, 1, 1, 3), 2, 2, [44, 45, 5, 44, 0, 14]),
+                    (reuse(2, 1, 1, 3), 3, 2, [76, 77, 4, 68, 0, 23]),
+                ],
+            ),
+            (
+                Algorithm::BatchEnumPlus,
+                [
+                    (reuse(1, 0, 0, 0), 2, 1, [37, 35, 0, 44, 1, 30]),
+                    (reuse(1, 0, 1, 0), 3, 1, [22, 21, 2, 22, 0, 10]),
+                    (reuse(1, 0, 1, 0), 0, 0, [0; 6]),
+                    (reuse(1, 1, 1, 3), 2, 1, [41, 40, 2, 48, 1, 14]),
+                    (reuse(2, 1, 1, 3), 3, 1, [52, 56, 0, 112, 14, 23]),
+                ],
+            ),
+        ];
+        for (algorithm, expected) in golden {
+            let mut engine = Engine::with_algorithm(g.clone(), algorithm);
+            let mut got: Vec<Step> = Vec::new();
+            let stats = engine.run_with_sink(&plain, &mut CountSink::new(plain.len()));
+            got.push(step(&engine, &stats));
+            let stats = engine.run_specs(&covered).stats;
+            got.push(step(&engine, &stats));
+            let stats = engine.run_specs(&[]).stats;
+            got.push(step(&engine, &stats));
+            let stats = engine.run_parallel_with_sink(
+                &extension,
+                Parallelism::Fixed(2),
+                &mut CountSink::new(extension.len()),
+            );
+            got.push(step(&engine, &stats));
+            let stats = engine.run_specs(&larger_k).stats;
+            got.push(step(&engine, &stats));
+            assert_eq!(got, expected, "{algorithm}");
+        }
+    }
+
     #[test]
     fn algorithm_metadata() {
         assert_eq!(Algorithm::BatchEnumPlus.to_string(), "BatchEnum+");
