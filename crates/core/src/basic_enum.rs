@@ -7,13 +7,12 @@
 
 use crate::buffers::SearchBuffers;
 use crate::pathenum::PathEnum;
-use crate::query::{BatchSummary, PathQuery};
+use crate::query::PathQuery;
 use crate::search_order::SearchOrder;
 use crate::sink::PathSink;
-use crate::stats::{EnumStats, Stage};
+use crate::stats::EnumStats;
 use hcsp_graph::DiGraph;
 use hcsp_index::BatchIndex;
-use std::time::Instant;
 
 /// Configuration of the baseline batch algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,40 +27,14 @@ impl BasicEnum {
         BasicEnum { order }
     }
 
-    /// Processes a batch of queries, streaming every result path into `sink`.
-    pub fn run_batch<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        queries: &[PathQuery],
-        sink: &mut S,
-    ) -> EnumStats {
-        if queries.is_empty() {
-            sink.finish();
-            return EnumStats::new(0);
-        }
-
-        // Lines 1-2: shared index from the union of sources and targets.
-        let start = Instant::now();
-        let summary = BatchSummary::of(queries);
-        let index = BatchIndex::build(
-            graph,
-            &summary.sources,
-            &summary.targets,
-            summary.max_hop_limit,
-        );
-        let build_time = start.elapsed();
-
-        let mut stats = self.run_batch_with_index(graph, &index, queries, sink);
-        stats.add_stage(Stage::BuildIndex, build_time);
-        stats
-    }
-
     /// Processes a batch against an already-built (possibly shared, possibly superset)
-    /// index: lines 3–8 of Algorithm 1 only.
+    /// index: lines 3–8 of Algorithm 1. Lines 1–2, BuildIndex, are the [`Engine`]'s.
     ///
     /// The index must cover the batch's endpoint sets at its largest hop constraint; a
     /// superset index (more roots, larger bound) is fine — see
     /// [`BatchEnum::run_batch_with_index`](crate::BatchEnum::run_batch_with_index).
+    ///
+    /// [`Engine`]: crate::Engine
     pub fn run_batch_with_index<S: PathSink>(
         &self,
         graph: &DiGraph,
@@ -69,28 +42,22 @@ impl BasicEnum {
         queries: &[PathQuery],
         sink: &mut S,
     ) -> EnumStats {
-        let mut buffers = SearchBuffers::for_graph(graph);
-        self.run_batch_with_index_buffered(graph, index, queries, sink, &mut buffers)
-    }
-
-    /// [`BasicEnum::run_batch_with_index`] with caller-owned, reusable [`SearchBuffers`]
-    /// (the entry point of the per-thread parallel workers).
-    pub fn run_batch_with_index_buffered<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        index: &BatchIndex,
-        queries: &[PathQuery],
-        sink: &mut S,
-        buffers: &mut SearchBuffers,
-    ) -> EnumStats {
         let mut stats = EnumStats::new(queries.len());
         stats.num_clusters = queries.len();
         let per_query = PathEnum::new(self.order);
+        let mut buffers = SearchBuffers::for_graph(graph);
         for (id, query) in queries.iter().enumerate() {
             // The per-query runner consults the sink's quota itself: satisfied queries
             // are skipped, bounded ones run the early-terminating streaming join.
-            let flow = per_query
-                .run_with_index_buffered(graph, index, query, id, sink, &mut stats, buffers);
+            let flow = per_query.run_with_index_buffered(
+                graph,
+                index,
+                query,
+                id,
+                sink,
+                &mut stats,
+                &mut buffers,
+            );
             if flow.stops_batch() {
                 break;
             }
@@ -98,31 +65,27 @@ impl BasicEnum {
         sink.finish();
         stats
     }
-
-    /// Builds the shared index only (exposed for benchmarks that time stages separately).
-    pub fn build_index(&self, graph: &DiGraph, queries: &[PathQuery]) -> BatchIndex {
-        let summary = BatchSummary::of(queries);
-        BatchIndex::build(
-            graph,
-            &summary.sources,
-            &summary.targets,
-            summary.max_hop_limit,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bruteforce::{canonical, enumerate_reference};
+    use crate::query::BatchSummary;
     use crate::sink::{CollectSink, CountSink};
+    use crate::stats::Stage;
+    use crate::{Algorithm, Engine};
     use hcsp_graph::generators::erdos_renyi::gnm_random;
     use hcsp_graph::generators::preferential::{preferential_attachment, PreferentialConfig};
     use hcsp_graph::generators::regular::{complete, grid};
 
-    fn assert_batch_matches_reference(graph: &DiGraph, queries: &[PathQuery], order: SearchOrder) {
+    fn assert_batch_matches_reference(
+        graph: &DiGraph,
+        queries: &[PathQuery],
+        algorithm: Algorithm,
+    ) {
         let mut sink = CollectSink::new(queries.len());
-        BasicEnum::new(order).run_batch(graph, queries, &mut sink);
+        Engine::with_algorithm(graph.clone(), algorithm).run_with_sink(queries, &mut sink);
         for (id, query) in queries.iter().enumerate() {
             let expected = canonical(enumerate_reference(graph, query));
             let got = canonical(sink.paths(id).to_paths());
@@ -139,8 +102,8 @@ mod tests {
             PathQuery::new(1u32, 14u32, 6),
             PathQuery::new(4u32, 11u32, 5),
         ];
-        assert_batch_matches_reference(&g, &queries, SearchOrder::VertexId);
-        assert_batch_matches_reference(&g, &queries, SearchOrder::DistanceThenDegree);
+        assert_batch_matches_reference(&g, &queries, Algorithm::BasicEnum);
+        assert_batch_matches_reference(&g, &queries, Algorithm::BasicEnumPlus);
     }
 
     #[test]
@@ -153,7 +116,7 @@ mod tests {
                 PathQuery::new(5u32, 40u32, 4),
                 PathQuery::new(7u32, 63u32, 5),
             ];
-            assert_batch_matches_reference(&g, &queries, SearchOrder::VertexId);
+            assert_batch_matches_reference(&g, &queries, Algorithm::BasicEnum);
         }
     }
 
@@ -171,7 +134,8 @@ mod tests {
             .collect();
 
         let mut basic_sink = CountSink::new(queries.len());
-        BasicEnum::default().run_batch(&g, &queries, &mut basic_sink);
+        Engine::with_algorithm(g.clone(), Algorithm::BasicEnum)
+            .run_with_sink(&queries, &mut basic_sink);
 
         let mut pe_sink = CountSink::new(queries.len());
         crate::pathenum::PathEnum::default().run_batch(&g, &queries, &mut pe_sink);
@@ -183,7 +147,7 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let g = complete(3);
         let mut sink = CountSink::new(0);
-        let stats = BasicEnum::default().run_batch(&g, &[], &mut sink);
+        let stats = Engine::with_algorithm(g, Algorithm::BasicEnum).run_with_sink(&[], &mut sink);
         assert_eq!(stats.num_queries, 0);
         assert_eq!(stats.total_time(), std::time::Duration::ZERO);
     }
@@ -196,11 +160,18 @@ mod tests {
             PathQuery::new(1u32, 15u32, 6),
         ];
         let mut sink = CountSink::new(2);
-        let stats = BasicEnum::default().run_batch(&g, &queries, &mut sink);
+        let stats = Engine::with_algorithm(g.clone(), Algorithm::BasicEnum)
+            .run_with_sink(&queries, &mut sink);
         // One BuildIndex stage entry covering both queries; enumeration covers both too.
         assert!(stats.stage_time(Stage::BuildIndex) > std::time::Duration::ZERO);
         assert!(stats.counters.produced_paths > 0);
-        let index = BasicEnum::default().build_index(&g, &queries);
+        let summary = BatchSummary::of(&queries);
+        let index = BatchIndex::build(
+            &g,
+            &summary.sources,
+            &summary.targets,
+            summary.max_hop_limit,
+        );
         assert_eq!(index.source_index().num_roots(), 2);
         assert_eq!(index.target_index().num_roots(), 1);
     }

@@ -19,7 +19,7 @@ use crate::clustering::cluster_queries;
 use crate::concat::concatenate_scratch;
 use crate::detection::detect_cluster_in;
 use crate::path::PathSet;
-use crate::query::{BatchSummary, HcsQuery, PathQuery, QueryId};
+use crate::query::{HcsQuery, PathQuery, QueryId};
 use crate::search_order::SearchOrder;
 use crate::sharing_graph::{AnchorSlack, NodeId, QueryNode, SharingGraph};
 use crate::similarity::{QueryNeighborhood, SimilarityMatrix};
@@ -57,35 +57,8 @@ impl BatchEnum {
         BatchEnum { order, gamma }
     }
 
-    /// Processes a batch of queries, streaming every result path into `sink`.
-    pub fn run_batch<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        queries: &[PathQuery],
-        sink: &mut S,
-    ) -> EnumStats {
-        if queries.is_empty() {
-            sink.finish();
-            return EnumStats::new(0);
-        }
-
-        // Stage 1: BuildIndex (Alg. 4 lines 1-2).
-        let start = Instant::now();
-        let summary = BatchSummary::of(queries);
-        let index = BatchIndex::build(
-            graph,
-            &summary.sources,
-            &summary.targets,
-            summary.max_hop_limit,
-        );
-        let build_time = start.elapsed();
-
-        let mut stats = self.run_batch_with_index(graph, &index, queries, sink);
-        stats.add_stage(Stage::BuildIndex, build_time);
-        stats
-    }
-
-    /// Processes a batch against an already-built index (stages 2–4 only).
+    /// Processes a batch against an already-built index (stages 2–4 only; stage 1,
+    /// BuildIndex, is the [`Engine`](crate::Engine)'s).
     ///
     /// The index may cover a *superset* of the batch — more roots, a larger hop bound —
     /// which is how the long-lived serving engine reuses one index across micro-batches:
@@ -532,9 +505,9 @@ impl BatchEnum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basic_enum::BasicEnum;
     use crate::bruteforce::{canonical, enumerate_reference};
     use crate::sink::{CollectSink, CountSink};
+    use crate::{Algorithm, BatchEngine, Engine};
     use hcsp_graph::generators::erdos_renyi::gnm_random;
     use hcsp_graph::generators::preferential::{preferential_attachment, PreferentialConfig};
     use hcsp_graph::generators::regular::{complete, grid, layered_dag};
@@ -583,21 +556,33 @@ mod tests {
         ]
     }
 
+    /// Runs `queries` as the first batch of a fresh engine.
+    fn run_fresh<S: PathSink>(
+        graph: &DiGraph,
+        algorithm: Algorithm,
+        gamma: f64,
+        queries: &[PathQuery],
+        sink: &mut S,
+    ) -> EnumStats {
+        let config = BatchEngine::builder()
+            .algorithm(algorithm)
+            .gamma(gamma)
+            .build();
+        Engine::new(graph.clone(), config).run_with_sink(queries, sink)
+    }
+
     fn assert_matches_reference(
         graph: &DiGraph,
         queries: &[PathQuery],
-        order: SearchOrder,
+        algorithm: Algorithm,
         gamma: f64,
     ) {
         let mut sink = CollectSink::new(queries.len());
-        BatchEnum::new(order, gamma).run_batch(graph, queries, &mut sink);
+        run_fresh(graph, algorithm, gamma, queries, &mut sink);
         for (id, query) in queries.iter().enumerate() {
             let expected = canonical(enumerate_reference(graph, query));
             let got = canonical(sink.paths(id).to_paths());
-            assert_eq!(
-                got, expected,
-                "query {query} (order {order:?}, gamma {gamma})"
-            );
+            assert_eq!(got, expected, "query {query} ({algorithm}, gamma {gamma})");
         }
     }
 
@@ -606,8 +591,8 @@ mod tests {
         let g = paper_graph();
         let queries = paper_queries();
         for gamma in [0.0, 0.5, 0.8, 1.0] {
-            assert_matches_reference(&g, &queries, SearchOrder::VertexId, gamma);
-            assert_matches_reference(&g, &queries, SearchOrder::DistanceThenDegree, gamma);
+            assert_matches_reference(&g, &queries, Algorithm::BatchEnum, gamma);
+            assert_matches_reference(&g, &queries, Algorithm::BatchEnumPlus, gamma);
         }
     }
 
@@ -615,7 +600,13 @@ mod tests {
     fn paper_example_q0_has_three_paths() {
         let g = paper_graph();
         let mut sink = CollectSink::new(5);
-        BatchEnum::default().run_batch(&g, &paper_queries(), &mut sink);
+        run_fresh(
+            &g,
+            Algorithm::BatchEnum,
+            DEFAULT_GAMMA,
+            &paper_queries(),
+            &mut sink,
+        );
         let q0_paths = canonical(sink.paths(0).to_paths());
         assert_eq!(
             q0_paths.len(),
@@ -661,9 +652,21 @@ mod tests {
             ),
         ] {
             let mut batch_sink = CountSink::new(queries.len());
-            BatchEnum::default().run_batch(&graph, &queries, &mut batch_sink);
+            run_fresh(
+                &graph,
+                Algorithm::BatchEnum,
+                DEFAULT_GAMMA,
+                &queries,
+                &mut batch_sink,
+            );
             let mut basic_sink = CountSink::new(queries.len());
-            BasicEnum::default().run_batch(&graph, &queries, &mut basic_sink);
+            run_fresh(
+                &graph,
+                Algorithm::BasicEnum,
+                DEFAULT_GAMMA,
+                &queries,
+                &mut basic_sink,
+            );
             assert_eq!(batch_sink.counts(), basic_sink.counts());
         }
     }
@@ -680,8 +683,8 @@ mod tests {
                 PathQuery::new(1u32, 31u32, 5),
                 PathQuery::new(2u32, 32u32, 4),
             ];
-            assert_matches_reference(&g, &queries, SearchOrder::VertexId, 0.5);
-            assert_matches_reference(&g, &queries, SearchOrder::DistanceThenDegree, 0.3);
+            assert_matches_reference(&g, &queries, Algorithm::BatchEnum, 0.5);
+            assert_matches_reference(&g, &queries, Algorithm::BatchEnumPlus, 0.3);
         }
     }
 
@@ -690,7 +693,7 @@ mod tests {
         let g = paper_graph();
         let queries = paper_queries();
         let mut sink = CountSink::new(queries.len());
-        let stats = BatchEnum::new(SearchOrder::VertexId, 0.5).run_batch(&g, &queries, &mut sink);
+        let stats = run_fresh(&g, Algorithm::BatchEnum, 0.5, &queries, &mut sink);
         assert!(
             stats.num_clusters < queries.len(),
             "similar queries must be clustered"
@@ -711,11 +714,17 @@ mod tests {
         let g = paper_graph();
         let queries = paper_queries();
         let mut sink = CountSink::new(queries.len());
-        let stats = BatchEnum::new(SearchOrder::VertexId, 1.0).run_batch(&g, &queries, &mut sink);
+        let stats = run_fresh(&g, Algorithm::BatchEnum, 1.0, &queries, &mut sink);
         assert_eq!(stats.num_clusters, queries.len());
         // Still correct.
         let mut reference = CountSink::new(queries.len());
-        BasicEnum::default().run_batch(&g, &queries, &mut reference);
+        run_fresh(
+            &g,
+            Algorithm::BasicEnum,
+            DEFAULT_GAMMA,
+            &queries,
+            &mut reference,
+        );
         assert_eq!(sink.counts(), reference.counts());
     }
 
@@ -730,7 +739,7 @@ mod tests {
         .unwrap();
         let queries = vec![PathQuery::new(0u32, 50u32, 4); 4];
         let mut sink = CountSink::new(queries.len());
-        let stats = BatchEnum::default().run_batch(&g, &queries, &mut sink);
+        let stats = run_fresh(&g, Algorithm::BatchEnum, DEFAULT_GAMMA, &queries, &mut sink);
         // All four queries produce identical counts.
         let c = sink.count(0);
         assert!(sink.counts().iter().all(|&x| x == c));
@@ -742,7 +751,7 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let g = complete(4);
         let mut sink = CountSink::new(0);
-        let stats = BatchEnum::default().run_batch(&g, &[], &mut sink);
+        let stats = run_fresh(&g, Algorithm::BatchEnum, DEFAULT_GAMMA, &[], &mut sink);
         assert_eq!(stats.num_queries, 0);
         assert_eq!(stats.total_time(), std::time::Duration::ZERO);
     }
@@ -752,7 +761,7 @@ mod tests {
         let g = paper_graph();
         let queries = paper_queries();
         let mut sink = CountSink::new(queries.len());
-        let stats = BatchEnum::default().run_batch(&g, &queries, &mut sink);
+        let stats = run_fresh(&g, Algorithm::BatchEnum, DEFAULT_GAMMA, &queries, &mut sink);
         for stage in Stage::ALL {
             assert!(
                 stats.stage_time(stage) > std::time::Duration::ZERO,

@@ -20,7 +20,7 @@ use hcsp_graph::{DeltaGraph, DiGraph, GraphUpdate};
 use hcsp_index::BatchIndex;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The algorithms evaluated in the paper (§V "Algorithms").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +76,10 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// Builder-configured batch query engine.
+/// What an [`Engine`] runs per batch: the algorithm and the clustering threshold γ.
+///
+/// A plain value; [`Engine::new`] and the service builder take it. Running a batch is
+/// always an [`Engine`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchEngine {
     algorithm: Algorithm,
@@ -107,12 +110,22 @@ impl BatchEngineBuilder {
     }
 
     /// Sets the clustering threshold γ (default 0.5; only used by the sharing algorithms).
+    /// [`BatchEngineBuilder::build`] clamps it into [0, 1].
+    ///
+    /// # Panics
+    ///
+    /// If `gamma` is NaN: no clamp can place it, and every similarity comparison against
+    /// it would be false, silently running each query in a cluster of its own.
     pub fn gamma(mut self, gamma: f64) -> Self {
+        assert!(
+            !gamma.is_nan(),
+            "the clustering threshold γ must not be NaN"
+        );
         self.gamma = Some(gamma);
         self
     }
 
-    /// Finalises the engine.
+    /// Finalises the configuration.
     pub fn build(self) -> BatchEngine {
         BatchEngine {
             algorithm: self.algorithm.unwrap_or(Algorithm::BatchEnumPlus),
@@ -132,7 +145,12 @@ pub struct BatchOutcome {
 
 impl BatchOutcome {
     /// Number of result paths of query `i`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not a query id of the batch.
     pub fn count(&self, i: usize) -> usize {
+        // lint:allow(panic-free-hot-path) i is a query id of the batch, one set per query
         self.paths[i].len()
     }
 
@@ -143,7 +161,7 @@ impl BatchOutcome {
 }
 
 impl BatchEngine {
-    /// Starts building an engine.
+    /// Starts building a configuration.
     pub fn builder() -> BatchEngineBuilder {
         BatchEngineBuilder::default()
     }
@@ -166,85 +184,21 @@ impl BatchEngine {
         self.gamma
     }
 
-    /// Runs the batch, streaming every result path into a caller-provided sink.
-    pub fn run_with_sink<S: PathSink>(
-        &self,
+    /// The sequential run over an index that covers `queries`: Algorithm 1 or 4 from
+    /// line 3 on. PathEnum never comes here, since it builds a per-query index by
+    /// definition; over a shared index it would be BasicEnum anyway.
+    fn run_over_index<S: PathSink>(
+        self,
         graph: &DiGraph,
+        index: &BatchIndex,
         queries: &[PathQuery],
         sink: &mut S,
     ) -> EnumStats {
-        match self.algorithm {
-            Algorithm::PathEnum => {
-                PathEnum::new(self.algorithm.search_order()).run_batch(graph, queries, sink)
-            }
-            Algorithm::BasicEnum | Algorithm::BasicEnumPlus => {
-                BasicEnum::new(self.algorithm.search_order()).run_batch(graph, queries, sink)
-            }
-            Algorithm::BatchEnum | Algorithm::BatchEnumPlus => {
-                BatchEnum::new(self.algorithm.search_order(), self.gamma)
-                    .run_batch(graph, queries, sink)
-            }
-        }
-    }
-
-    /// Runs the batch and collects every result path.
-    pub fn run(&self, graph: &DiGraph, queries: &[PathQuery]) -> BatchOutcome {
-        let mut sink = CollectSink::new(queries.len());
-        let stats = self.run_with_sink(graph, queries, &mut sink);
-        BatchOutcome {
-            paths: sink.into_inner(),
-            stats,
-        }
-    }
-
-    /// Runs the batch counting results only (the mode used by the timing experiments,
-    /// where materialising every path of every query would dominate memory).
-    pub fn run_counting(&self, graph: &DiGraph, queries: &[PathQuery]) -> (Vec<u64>, EnumStats) {
-        let mut sink = CountSink::new(queries.len());
-        let stats = self.run_with_sink(graph, queries, &mut sink);
-        (sink.counts().to_vec(), stats)
-    }
-
-    /// Runs a batch of typed query requests and returns one typed response per spec.
-    ///
-    /// Mixed-mode batches share one index (and, for the sharing algorithms, one
-    /// clustering/detection pass); each query stops the moment its [`ResultMode`] is
-    /// satisfied — `Exists` probes are answered straight from the index whenever the
-    /// algorithm builds a shared one, `FirstK` terminates the search after `k` paths.
-    pub fn run_specs(&self, graph: &DiGraph, specs: &[QuerySpec]) -> SpecOutcome {
-        if specs.is_empty() {
-            return SpecOutcome {
-                responses: Vec::new(),
-                stats: EnumStats::new(0),
-            };
-        }
-        let mut sink = SpecSink::new(specs);
-        let stats = match self.algorithm {
-            // The real-time baseline has no shared index to probe: every spec runs the
-            // per-query pipeline (quota-aware, so bounded modes still short-circuit).
-            Algorithm::PathEnum => {
-                let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
-                PathEnum::new(self.algorithm.search_order()).run_batch(graph, &queries, &mut sink)
-            }
-            _ => {
-                let start = Instant::now();
-                let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
-                let summary = BatchSummary::of(&queries);
-                let index = BatchIndex::build(
-                    graph,
-                    &summary.sources,
-                    &summary.targets,
-                    summary.max_hop_limit,
-                );
-                let build_time = start.elapsed();
-                let mut stats = run_specs_with_index(self, graph, &index, specs, &mut sink);
-                stats.add_stage(Stage::BuildIndex, build_time);
-                stats
-            }
-        };
-        SpecOutcome {
-            responses: sink.into_responses(),
-            stats,
+        let order = self.algorithm.search_order();
+        if self.algorithm.shares_computation() {
+            BatchEnum::new(order, self.gamma).run_batch_with_index(graph, index, queries, sink)
+        } else {
+            BasicEnum::new(order).run_batch_with_index(graph, index, queries, sink)
         }
     }
 }
@@ -261,50 +215,10 @@ fn resolve_exists_from_index(index: &BatchIndex, sink: &mut SpecSink, specs: &[Q
     }
 }
 
-/// The shared-index spec pipeline: `Exists` fast path, dead-query filtering, then the
-/// configured batch algorithm over the live remainder with id-routed delivery into the
-/// caller's [`SpecSink`]. Not used for `PathEnum` (no shared index by definition).
-fn run_specs_with_index(
-    config: &BatchEngine,
-    graph: &DiGraph,
-    index: &BatchIndex,
-    specs: &[QuerySpec],
-    sink: &mut SpecSink,
-) -> EnumStats {
-    resolve_exists_from_index(index, sink, specs);
-    // Satisfied specs (index-answered Exists probes, zero-need degenerates) leave the
-    // enumeration batch entirely: they must not cost clustering or detection work.
-    let mut live_queries: Vec<PathQuery> = Vec::new();
-    let mut route: Vec<usize> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        if sink.remaining_quota(i) != Some(0) {
-            live_queries.push(spec.query);
-            route.push(i);
-        }
-    }
-    let order = config.algorithm().search_order();
-    let mut routed = RoutedSink::new(sink, &route);
-    let mut stats = match config.algorithm() {
-        Algorithm::PathEnum => unreachable!("PathEnum specs run without a shared index"),
-        Algorithm::BasicEnum | Algorithm::BasicEnumPlus => {
-            BasicEnum::new(order).run_batch_with_index(graph, index, &live_queries, &mut routed)
-        }
-        _ => BatchEnum::new(order, config.gamma()).run_batch_with_index(
-            graph,
-            index,
-            &live_queries,
-            &mut routed,
-        ),
-    };
-    stats.num_queries = specs.len();
-    stats
-}
-
-/// Index-reuse accounting of a long-lived [`Engine`].
+/// Index-reuse accounting of an [`Engine`].
 ///
-/// A one-shot [`BatchEngine`] run rebuilds the batch index from scratch every time; the
-/// serving regime amortises that cost, and these counters make the amortisation visible
-/// (they feed the service-mode throughput reports).
+/// The first batch builds the index from scratch; later batches extend or reuse it, and
+/// these counters make that amortisation visible (the service reports them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexReuse {
     /// Full index builds: the first batch, plus every batch whose hop bound exceeded the
@@ -370,16 +284,17 @@ impl UpdateSummary {
     }
 }
 
-/// A long-lived, reusable query engine: one graph, one cached [`BatchIndex`] that
-/// survives across batches.
+/// The batch query engine: one graph, the [`BatchEngine`] configuration it runs, and one
+/// cached [`BatchIndex`] that survives across batches.
 ///
-/// [`BatchEngine`] is the one-shot entry point the offline experiments use — every call
-/// pays a fresh index build. An `Engine` instead hoists graph and index out of the
-/// per-batch path, which is what a serving layer needs: across micro-batches most query
-/// endpoints repeat, so the index is *extended* with the few new roots (cheap, incremental
-/// multi-source BFS) and fully rebuilt **only when the hop-limit bound grows** (cached
-/// entries are truncated at the old bound and cannot be deepened in place). On a rebuild,
-/// every previously indexed root is retained so earlier query shapes stay covered.
+/// Every batch runs through an `Engine`. A fresh engine's first batch builds the index
+/// from that batch's endpoints (BuildIndex, lines 1–2 of Algorithms 1 and 4) and then
+/// enumerates, so a one-off batch is simply `Engine::new(graph, config)` and one call.
+/// Later batches reuse the index: across micro-batches most query endpoints repeat, so
+/// the index is *extended* with the few new roots (cheap, incremental multi-source BFS)
+/// and fully rebuilt **only when the hop-limit bound grows** (cached entries are
+/// truncated at the old bound and cannot be deepened in place). On a rebuild, every
+/// previously indexed root is retained so earlier query shapes stay covered.
 ///
 /// [`Algorithm::PathEnum`] deliberately bypasses the cache: it is the single-query
 /// real-time baseline, defined by building its own per-query index.
@@ -424,7 +339,7 @@ pub struct Engine {
 pub const DEFAULT_UPDATE_REFRESH_CAP: usize = 1024;
 
 impl Engine {
-    /// Creates an engine over a graph with the given one-shot configuration.
+    /// Creates an engine over a graph with the given configuration.
     pub fn new(graph: impl Into<Arc<DiGraph>>, config: BatchEngine) -> Self {
         Engine {
             config,
@@ -464,7 +379,7 @@ impl Engine {
         Arc::clone(&self.graph)
     }
 
-    /// The one-shot configuration the engine runs per batch.
+    /// The configuration the engine runs per batch.
     pub fn config(&self) -> BatchEngine {
         self.config
     }
@@ -484,12 +399,6 @@ impl Engine {
         self.index.as_ref().map_or(0, |idx| {
             idx.source_index().heap_bytes() + idx.target_index().heap_bytes()
         })
-    }
-
-    /// Drops the cached index (e.g. to bound memory after a burst of one-off endpoints);
-    /// the next batch rebuilds from scratch.
-    pub fn reset_index(&mut self) {
-        self.index = None;
     }
 
     /// Bounds the cached index: once its total root count (sources + targets) exceeds
@@ -664,103 +573,101 @@ impl Engine {
         advance
     }
 
-    /// Makes the cached index cover `summary`, rebuilding only when the hop bound grew and
-    /// extending incrementally otherwise. Returns the time spent.
-    fn ensure_index(&mut self, summary: &BatchSummary) -> std::time::Duration {
+    /// Makes the cached index cover `queries`, rebuilding only when the hop bound grew and
+    /// extending incrementally otherwise. Returns the graph and the index that now covers
+    /// the batch, with the time spent.
+    fn ensure_index(&mut self, queries: &[PathQuery]) -> (&DiGraph, &BatchIndex, Duration) {
         let start = Instant::now();
+        let summary = BatchSummary::of(queries);
         if let (Some(cap), Some(index)) = (self.index_root_cap, &self.index) {
             if index.source_index().num_roots() + index.target_index().num_roots() > cap {
                 self.index = None;
                 self.reuse.resets += 1;
             }
         }
-        let needs_rebuild = match &self.index {
-            Some(index) => summary.max_hop_limit > index.bound(),
-            None => true,
+        let within_bound = self
+            .index
+            .as_ref()
+            .is_some_and(|index| summary.max_hop_limit <= index.bound());
+        let index = match (&mut self.index, within_bound) {
+            (Some(index), true) => {
+                // Delete-dirtied roots repair lazily, here: the last point before the
+                // batch consults the index for pruning (stale entries under-estimate
+                // distances, which would break the Lemma 3.1 bound).
+                if index.num_dirty() > 0 {
+                    let refreshed = index.flush_dirty(&self.graph);
+                    self.reuse.dirty_flushes += 1;
+                    self.reuse.dirty_roots_refreshed += refreshed;
+                }
+                let added = index.extend(&self.graph, &summary.sources, &summary.targets);
+                if added == 0 {
+                    self.reuse.hits += 1;
+                } else {
+                    self.reuse.extensions += 1;
+                    self.reuse.roots_added += added;
+                }
+                index
+            }
+            (cached, _) => {
+                // Carry every previously indexed root into the rebuild so batches already
+                // served stay covered (endpoint working sets repeat in serving workloads).
+                // The carried roots overlap the batch's own endpoints heavily in exactly
+                // those workloads, so the merged sets are deduplicated before they reach
+                // the index build — duplicate roots would cost sort/partition work per
+                // batch.
+                let BatchSummary {
+                    mut sources,
+                    mut targets,
+                    max_hop_limit,
+                } = summary;
+                if let Some(old) = cached {
+                    sources.extend_from_slice(old.source_index().roots());
+                    targets.extend_from_slice(old.target_index().roots());
+                    sources.sort_unstable();
+                    sources.dedup();
+                    targets.sort_unstable();
+                    targets.dedup();
+                }
+                debug_assert!(
+                    sources.is_sorted_by(|a, b| a < b),
+                    "duplicate source roots reach the index build"
+                );
+                debug_assert!(
+                    targets.is_sorted_by(|a, b| a < b),
+                    "duplicate target roots reach the index build"
+                );
+                self.reuse.rebuilds += 1;
+                cached.insert(BatchIndex::build(
+                    &self.graph,
+                    &sources,
+                    &targets,
+                    max_hop_limit,
+                ))
+            }
         };
-        if needs_rebuild {
-            // Carry every previously indexed root into the rebuild so batches already
-            // served stay covered (endpoint working sets repeat in serving workloads).
-            // The carried roots overlap the batch's own endpoints heavily in exactly
-            // those workloads, so the merged sets are deduplicated before they reach the
-            // index build — duplicate roots would cost sort/partition work per batch.
-            let mut sources = summary.sources.clone();
-            let mut targets = summary.targets.clone();
-            if let Some(old) = &self.index {
-                sources.extend_from_slice(old.source_index().roots());
-                targets.extend_from_slice(old.target_index().roots());
-                sources.sort_unstable();
-                sources.dedup();
-                targets.sort_unstable();
-                targets.dedup();
-            }
-            debug_assert!(
-                sources.windows(2).all(|w| w[0] < w[1]),
-                "duplicate source roots reach the index build"
-            );
-            debug_assert!(
-                targets.windows(2).all(|w| w[0] < w[1]),
-                "duplicate target roots reach the index build"
-            );
-            self.index = Some(BatchIndex::build(
-                &self.graph,
-                &sources,
-                &targets,
-                summary.max_hop_limit,
-            ));
-            self.reuse.rebuilds += 1;
-        } else {
-            let index = self.index.as_mut().expect("checked above");
-            // Delete-dirtied roots repair lazily, here: the last point before the batch
-            // consults the index for pruning (stale entries under-estimate distances,
-            // which would break the Lemma 3.1 bound).
-            if index.num_dirty() > 0 {
-                let refreshed = index.flush_dirty(&self.graph);
-                self.reuse.dirty_flushes += 1;
-                self.reuse.dirty_roots_refreshed += refreshed;
-            }
-            let added = index.extend(&self.graph, &summary.sources, &summary.targets);
-            if added == 0 {
-                self.reuse.hits += 1;
-            } else {
-                self.reuse.extensions += 1;
-                self.reuse.roots_added += added;
-            }
-        }
-        start.elapsed()
+        (&self.graph, index, start.elapsed())
     }
 
     /// Runs one batch, streaming every result path into a caller-provided sink.
     ///
-    /// The reported `BuildIndex` stage time is the *incremental* index work this batch
-    /// actually caused (zero-ish on a fully covered batch), not a from-scratch build.
+    /// The reported `BuildIndex` stage time is the index work this batch actually caused:
+    /// the full build on a fresh engine, the incremental extension (zero-ish on a fully
+    /// covered batch) afterwards.
     pub fn run_with_sink<S: PathSink>(&mut self, queries: &[PathQuery], sink: &mut S) -> EnumStats {
         if queries.is_empty() {
             sink.finish();
             return EnumStats::new(0);
         }
-        let order = self.config.algorithm().search_order();
-        match self.config.algorithm() {
+        let config = self.config;
+        if config.algorithm == Algorithm::PathEnum {
             // The real-time baseline: per-query index by definition, nothing cached.
-            Algorithm::PathEnum => PathEnum::new(order).run_batch(&self.graph, queries, sink),
-            algorithm => {
-                let summary = BatchSummary::of(queries);
-                let prep_time = self.ensure_index(&summary);
-                let index = self.index.as_ref().expect("ensured above");
-                let mut stats = match algorithm {
-                    Algorithm::BasicEnum | Algorithm::BasicEnumPlus => BasicEnum::new(order)
-                        .run_batch_with_index(&self.graph, index, queries, sink),
-                    _ => BatchEnum::new(order, self.config.gamma()).run_batch_with_index(
-                        &self.graph,
-                        index,
-                        queries,
-                        sink,
-                    ),
-                };
-                stats.add_stage(Stage::BuildIndex, prep_time);
-                stats
-            }
+            let per_query = PathEnum::new(config.algorithm.search_order());
+            return per_query.run_batch(&self.graph, queries, sink);
         }
+        let (graph, index, prep_time) = self.ensure_index(queries);
+        let mut stats = config.run_over_index(graph, index, queries, sink);
+        stats.add_stage(Stage::BuildIndex, prep_time);
+        stats
     }
 
     /// Runs one batch on the cluster-sharded parallel executor, streaming every result
@@ -783,41 +690,33 @@ impl Engine {
             sink.finish();
             return EnumStats::new(0);
         }
-        let order = self.config.algorithm().search_order();
+        let config = self.config;
+        let order = config.algorithm.search_order();
         let per_query = PathEnum::new(order);
-        match self.config.algorithm() {
+        if config.algorithm == Algorithm::PathEnum {
             // The real-time baseline: per-query index by definition, nothing cached; the
             // per-query index builds simply spread over the workers.
-            Algorithm::PathEnum => {
-                let graph = &*self.graph;
-                run_per_query(queries, parallelism, sink, |q, local, stats, buf| {
-                    per_query.run_single_buffered(graph, q, 0, local, stats, buf);
-                })
-            }
-            algorithm => {
-                let summary = BatchSummary::of(queries);
-                let prep_time = self.ensure_index(&summary);
-                let graph = &*self.graph;
-                let index = self.index.as_ref().expect("ensured above");
-                let mut stats = match algorithm {
-                    Algorithm::BasicEnum | Algorithm::BasicEnumPlus => {
-                        run_per_query(queries, parallelism, sink, |q, local, stats, buf| {
-                            per_query
-                                .run_with_index_buffered(graph, index, q, 0, local, stats, buf);
-                        })
-                    }
-                    _ => BatchEnum::new(order, self.config.gamma()).run_parallel_with_index(
-                        graph,
-                        index,
-                        queries,
-                        parallelism,
-                        sink,
-                    ),
-                };
-                stats.add_stage(Stage::BuildIndex, prep_time);
-                stats
-            }
+            let graph = &*self.graph;
+            return run_per_query(queries, parallelism, sink, |q, local, stats, buf| {
+                per_query.run_single_buffered(graph, q, 0, local, stats, buf);
+            });
         }
+        let (graph, index, prep_time) = self.ensure_index(queries);
+        let mut stats = if config.algorithm.shares_computation() {
+            BatchEnum::new(order, config.gamma).run_parallel_with_index(
+                graph,
+                index,
+                queries,
+                parallelism,
+                sink,
+            )
+        } else {
+            run_per_query(queries, parallelism, sink, |q, local, stats, buf| {
+                per_query.run_with_index_buffered(graph, index, q, 0, local, stats, buf);
+            })
+        };
+        stats.add_stage(Stage::BuildIndex, prep_time);
+        stats
     }
 
     /// Runs one batch on `threads` worker threads and collects every result path.
@@ -871,23 +770,37 @@ impl Engine {
                 stats: EnumStats::new(0),
             };
         }
-        match self.config.algorithm() {
-            // The real-time baseline: per-query index by definition, nothing cached.
-            Algorithm::PathEnum => self.config.run_specs(&self.graph, specs),
-            _ => {
-                let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
-                let summary = BatchSummary::of(&queries);
-                let prep_time = self.ensure_index(&summary);
-                let index = self.index.as_ref().expect("ensured above");
-                let mut sink = SpecSink::new(specs);
-                let mut stats =
-                    run_specs_with_index(&self.config, &self.graph, index, specs, &mut sink);
-                stats.add_stage(Stage::BuildIndex, prep_time);
-                SpecOutcome {
-                    responses: sink.into_responses(),
-                    stats,
+        let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
+        let mut sink = SpecSink::new(specs);
+        let config = self.config;
+        let stats = if config.algorithm == Algorithm::PathEnum {
+            // The real-time baseline has no shared index to probe: every spec runs the
+            // per-query pipeline (quota-aware, so bounded modes still short-circuit).
+            let per_query = PathEnum::new(config.algorithm.search_order());
+            per_query.run_batch(&self.graph, &queries, &mut sink)
+        } else {
+            let (graph, index, prep_time) = self.ensure_index(&queries);
+            resolve_exists_from_index(index, &mut sink, specs);
+            // Satisfied specs (index-answered Exists probes, zero-need degenerates) leave
+            // the enumeration batch entirely: they must not cost clustering or detection
+            // work.
+            let mut live: Vec<PathQuery> = Vec::new();
+            let mut route: Vec<usize> = Vec::new();
+            for (i, &query) in queries.iter().enumerate() {
+                if sink.remaining_quota(i) != Some(0) {
+                    live.push(query);
+                    route.push(i);
                 }
             }
+            let mut routed = RoutedSink::new(&mut sink, &route);
+            let mut stats = config.run_over_index(graph, index, &live, &mut routed);
+            stats.num_queries = specs.len();
+            stats.add_stage(Stage::BuildIndex, prep_time);
+            stats
+        };
+        SpecOutcome {
+            responses: sink.into_responses(),
+            stats,
         }
     }
 }
@@ -911,8 +824,8 @@ mod tests {
             .map(|q| enumerate_reference(&g, q).len() as u64)
             .collect();
         for algorithm in Algorithm::ALL {
-            let engine = BatchEngine::with_algorithm(algorithm);
-            let (counts, stats) = engine.run_counting(&g, &queries);
+            let mut engine = Engine::with_algorithm(g.clone(), algorithm);
+            let (counts, stats) = engine.run_counting(&queries);
             assert_eq!(counts, reference, "algorithm {algorithm}");
             assert_eq!(stats.num_queries, 3);
         }
@@ -933,10 +846,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must not be NaN")]
+    fn builder_rejects_a_nan_gamma() {
+        let _ = BatchEngine::builder().gamma(f64::NAN);
+    }
+
+    #[test]
     fn run_collects_full_paths() {
         let g = complete(5);
         let queries = vec![PathQuery::new(0u32, 4u32, 3)];
-        let outcome = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run(&g, &queries);
+        let outcome = Engine::with_algorithm(g.clone(), Algorithm::BatchEnumPlus).run(&queries);
         assert_eq!(outcome.count(0), enumerate_reference(&g, &queries[0]).len());
         assert_eq!(outcome.total(), outcome.count(0));
         for p in outcome.paths[0].iter() {
@@ -1011,11 +930,6 @@ mod tests {
         ]);
         assert_eq!(engine.index_reuse().hits, 2);
         assert!(engine.index_heap_bytes() > 0);
-
-        engine.reset_index();
-        assert_eq!(engine.index_heap_bytes(), 0);
-        engine.run(&[PathQuery::new(0u32, 15u32, 6)]);
-        assert_eq!(engine.index_reuse().rebuilds, 3);
     }
 
     #[test]
@@ -1402,29 +1316,6 @@ mod tests {
         assert_eq!(outcome.responses[1].count(), Some(2));
         assert_eq!(outcome.responses[2].count(), Some(1));
         assert_eq!(outcome.responses[3], crate::QueryResponse::Count(total));
-    }
-
-    #[test]
-    fn one_shot_engine_run_specs_matches_the_reusable_engine() {
-        let g = grid(4, 4);
-        let specs = vec![
-            QuerySpec::exists(PathQuery::new(0u32, 15u32, 6)),
-            QuerySpec::first_k(PathQuery::new(1u32, 15u32, 6), 2),
-            QuerySpec::count(PathQuery::new(0u32, 11u32, 5)),
-        ];
-        for algorithm in Algorithm::ALL {
-            let one_shot = BatchEngine::with_algorithm(algorithm).run_specs(&g, &specs);
-            let mut reusable = Engine::with_algorithm(g.clone(), algorithm);
-            assert_eq!(
-                one_shot.responses,
-                reusable.run_specs(&specs).responses,
-                "{algorithm}"
-            );
-        }
-        assert!(BatchEngine::default()
-            .run_specs(&g, &[])
-            .responses
-            .is_empty());
     }
 
     /// One engine per algorithm through a scripted call sequence — plain run, covered

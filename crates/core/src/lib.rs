@@ -15,12 +15,13 @@
 //!   detected per cluster (Algorithm 3) and recorded in the query sharing graph Ψ, and the
 //!   enumeration evaluates Ψ in topological order, materialising every shared sub-query
 //!   once and splicing it into every dependent query.
-//! * [`engine::BatchEngine`] — a one-shot facade selecting between the five evaluated
-//!   variants (`PathEnum`, `BasicEnum`, `BasicEnum+`, `BatchEnum`, `BatchEnum+`).
-//! * [`engine::Engine`] — the long-lived, reusable form of the same facade: graph and
-//!   [`hcsp_index::BatchIndex`] are hoisted out of the per-batch path, the index is
-//!   extended incrementally for new endpoints and rebuilt only when the hop bound grows.
-//!   This is the building block of the micro-batching serving layer (`hcsp-service`).
+//! * [`engine::Engine`] — the one way to run a batch: it runs one of the five evaluated
+//!   variants (`PathEnum`, `BasicEnum`, `BasicEnum+`, `BatchEnum`, `BatchEnum+`, chosen
+//!   by an [`engine::BatchEngine`] configuration) over a graph and a cached
+//!   [`hcsp_index::BatchIndex`]. Its first batch builds the index; later batches extend
+//!   it incrementally for new endpoints and rebuild it only when the hop bound grows.
+//!   This is also the building block of the micro-batching serving layer
+//!   (`hcsp-service`).
 //! * [`spec`] — the typed request/response surface: a [`spec::QuerySpec`] pairs a query
 //!   with a [`spec::ResultMode`] (`Exists | Count | FirstK(k) | Collect`, plus an
 //!   optional path budget) and [`engine::Engine::run_specs`] answers mixed-mode batches
@@ -32,13 +33,13 @@
 //! ## Quick example
 //!
 //! ```
-//! use hcsp_core::{Algorithm, BatchEngine, PathQuery};
+//! use hcsp_core::{Algorithm, Engine, PathQuery};
 //! use hcsp_graph::DiGraph;
 //!
 //! // A diamond with two parallel 2-hop routes.
 //! let g = DiGraph::from_edge_list(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap();
 //! let queries = vec![PathQuery::new(0u32, 3u32, 3)];
-//! let outcome = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run(&g, &queries);
+//! let outcome = Engine::with_algorithm(g, Algorithm::BatchEnumPlus).run(&queries);
 //! assert_eq!(outcome.count(0), 2);
 //! ```
 

@@ -549,9 +549,9 @@ mod tests {
             PathQuery::new(2u32, 31u32, 5),
         ];
         let batch = BatchEnum::new(SearchOrder::VertexId, 0.4);
-        let mut sequential = CollectSink::new(queries.len());
-        let seq_stats = batch.run_batch(&g, &queries, &mut sequential);
         let index = index_for(&g, &queries);
+        let mut sequential = CollectSink::new(queries.len());
+        let seq_stats = batch.run_batch_with_index(&g, &index, &queries, &mut sequential);
         for workers in [1, 2, 4, 8] {
             let mut parallel = CollectSink::new(queries.len());
             let par_stats = batch.run_parallel_with_index(

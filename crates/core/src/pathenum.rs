@@ -41,23 +41,11 @@ impl PathEnum {
         PathEnum { order }
     }
 
-    /// Processes one query in isolation: builds the per-query index and enumerates.
+    /// Processes one query in isolation: builds the per-query index and enumerates, with
+    /// caller-owned, reusable [`SearchBuffers`].
     ///
     /// Results are streamed into `sink` under query id `query_id`. Returns the
     /// batch-level control flow ([`SinkFlow::Stop`] when the sink ended the batch).
-    pub fn run_single<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        query: &PathQuery,
-        query_id: QueryId,
-        sink: &mut S,
-        stats: &mut EnumStats,
-    ) -> SinkFlow {
-        let mut buffers = SearchBuffers::new();
-        self.run_single_buffered(graph, query, query_id, sink, stats, &mut buffers)
-    }
-
-    /// [`PathEnum::run_single`] with caller-owned, reusable [`SearchBuffers`].
     pub fn run_single_buffered<S: PathSink>(
         &self,
         graph: &DiGraph,
@@ -77,24 +65,10 @@ impl PathEnum {
         self.run_with_index_buffered(graph, &index, query, query_id, sink, stats, buffers)
     }
 
-    /// Processes one query against an already-built (possibly shared) index.
-    pub fn run_with_index<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        index: &BatchIndex,
-        query: &PathQuery,
-        query_id: QueryId,
-        sink: &mut S,
-        stats: &mut EnumStats,
-    ) -> SinkFlow {
-        let mut buffers = SearchBuffers::new();
-        self.run_with_index_buffered(graph, index, query, query_id, sink, stats, &mut buffers)
-    }
-
-    /// [`PathEnum::run_with_index`] with caller-owned, reusable [`SearchBuffers`]: the
-    /// half-search prefix sets, DFS state and join scratch all come from `buffers`, so a
-    /// batch loop (or a long-lived worker) allocates nothing per query in the steady
-    /// state.
+    /// Processes one query against an already-built (possibly shared) index, with
+    /// caller-owned, reusable [`SearchBuffers`]: the half-search prefix sets, DFS state
+    /// and join scratch all come from `buffers`, so a batch loop (or a long-lived worker)
+    /// allocates nothing per query in the steady state.
     ///
     /// Picks the execution strategy from the sink's [`PathSink::remaining_quota`]: a
     /// finite quota runs the early-terminating streaming join, `Some(0)` skips the query
@@ -336,7 +310,14 @@ mod tests {
             let specs = vec![QuerySpec::first_k(q, k)];
             let mut sink = SpecSink::new(&specs);
             let mut stats = EnumStats::new(1);
-            PathEnum::default().run_single(&g, &q, 0, &mut sink, &mut stats);
+            PathEnum::default().run_single_buffered(
+                &g,
+                &q,
+                0,
+                &mut sink,
+                &mut stats,
+                &mut SearchBuffers::new(),
+            );
             let responses = sink.into_responses();
             let got = responses[0].paths().unwrap().to_paths();
             assert_eq!(got.as_slice(), &full[..k.min(full.len())], "k = {k}");
@@ -349,13 +330,27 @@ mod tests {
         let q = PathQuery::new(0u32, 6u32, 5);
         let mut full_stats = EnumStats::new(1);
         let mut full_sink = CountSink::new(1);
-        PathEnum::default().run_single(&g, &q, 0, &mut full_sink, &mut full_stats);
+        PathEnum::default().run_single_buffered(
+            &g,
+            &q,
+            0,
+            &mut full_sink,
+            &mut full_stats,
+            &mut SearchBuffers::new(),
+        );
         assert!(full_sink.count(0) > 1);
 
         let specs = vec![QuerySpec::exists(q)];
         let mut sink = SpecSink::new(&specs);
         let mut stats = EnumStats::new(1);
-        let flow = PathEnum::default().run_single(&g, &q, 0, &mut sink, &mut stats);
+        let flow = PathEnum::default().run_single_buffered(
+            &g,
+            &q,
+            0,
+            &mut sink,
+            &mut stats,
+            &mut SearchBuffers::new(),
+        );
         // The only query is satisfied: batch-level Stop.
         assert_eq!(flow, SinkFlow::Stop);
         assert!(
@@ -375,7 +370,14 @@ mod tests {
         let specs = vec![QuerySpec::first_k(q, 0)];
         let mut sink = SpecSink::new(&specs);
         let mut stats = EnumStats::new(1);
-        let flow = PathEnum::default().run_single(&g, &q, 0, &mut sink, &mut stats);
+        let flow = PathEnum::default().run_single_buffered(
+            &g,
+            &q,
+            0,
+            &mut sink,
+            &mut stats,
+            &mut SearchBuffers::new(),
+        );
         assert_eq!(flow, SinkFlow::Continue);
         assert_eq!(stats.counters.expanded_vertices, 0);
         assert_eq!(
@@ -401,7 +403,14 @@ mod tests {
                     SinkFlow::Continue
                 }
             });
-            PathEnum::default().run_single(&g, &q, 0, &mut sink, &mut stats);
+            PathEnum::default().run_single_buffered(
+                &g,
+                &q,
+                0,
+                &mut sink,
+                &mut stats,
+                &mut SearchBuffers::new(),
+            );
         }
         assert_eq!(taken.len(), 2);
         assert_eq!(taken[0], full[0].vertices());

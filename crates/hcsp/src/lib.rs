@@ -31,8 +31,8 @@
 //!     &graph,
 //!     hcsp::workload::QuerySetSpec::new(10, 7).with_hops(3, 4),
 //! );
-//! let engine = BatchEngine::builder().algorithm(Algorithm::BatchEnumPlus).gamma(0.5).build();
-//! let outcome = engine.run(&graph, &queries);
+//! let config = BatchEngine::builder().algorithm(Algorithm::BatchEnumPlus).gamma(0.5).build();
+//! let outcome = Engine::new(graph, config).run(&queries);
 //! assert_eq!(outcome.paths.len(), queries.len());
 //! ```
 
@@ -107,7 +107,7 @@ mod tests {
         let graph = DiGraph::from_edge_list(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap();
         let queries = vec![PathQuery::new(0u32, 3u32, 3)];
         for algorithm in Algorithm::ALL {
-            let outcome = BatchEngine::with_algorithm(algorithm).run(&graph, &queries);
+            let outcome = Engine::with_algorithm(graph.clone(), algorithm).run(&queries);
             assert_eq!(outcome.count(0), 2, "{algorithm}");
         }
     }

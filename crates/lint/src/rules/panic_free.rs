@@ -14,11 +14,13 @@ use crate::{Diagnostic, SourceFile};
 
 /// The enumeration hot path: frontier search and its shared form (Algorithm 4's
 /// `Search` and per-query join), prefix concatenation, the arena buffers they
-/// allocate from, the parallel work-splitting driver, and the distance row every
-/// scanned edge probes (Lemma 3.1).
-pub const HOT_FILES: [&str; 6] = [
+/// allocate from, the parallel work-splitting driver, the distance row every
+/// scanned edge probes (Lemma 3.1), and the engine a service worker calls once
+/// per micro-batch (a panic there abandons every request in the batch).
+pub const HOT_FILES: [&str; 7] = [
     "crates/core/src/search.rs",
     "crates/core/src/batch_enum.rs",
+    "crates/core/src/engine.rs",
     "crates/core/src/concat.rs",
     "crates/core/src/buffers.rs",
     "crates/core/src/parallel.rs",

@@ -85,6 +85,7 @@ fn panic_free_covers_every_hot_file_and_nothing_else() {
     };
     assert!(rules::panic_free::HOT_FILES.contains(&"crates/index/src/distance_row.rs"));
     assert!(rules::panic_free::HOT_FILES.contains(&"crates/core/src/batch_enum.rs"));
+    assert!(rules::panic_free::HOT_FILES.contains(&"crates/core/src/engine.rs"));
     for vpath in rules::panic_free::HOT_FILES {
         assert!(hits("fail_unwrap_index.rs", vpath) >= 1, "{vpath}");
         assert_eq!(hits("pass_annotated.rs", vpath), 0, "{vpath}");

@@ -1108,10 +1108,10 @@ impl PathService {
     /// # Panics
     ///
     /// Panics if admission refuses the spec — out-of-range endpoints (in the caller's
-    /// thread, exactly like the offline `BatchEngine` would, rather than poisoning a
-    /// worker that is executing other users' queries), a shutting-down service, or a
-    /// poisoned admission lock. Use [`PathService::try_submit_spec`] to handle those
-    /// cases as errors; a thin `expect`-style wrapper is all this method is.
+    /// thread, rather than in a worker that is executing other users' queries), a
+    /// shutting-down service, or a poisoned admission lock. Use
+    /// [`PathService::try_submit_spec`] to handle those cases as errors; a thin
+    /// `expect`-style wrapper is all this method is.
     pub fn submit_spec(&self, spec: QuerySpec) -> SpecHandle {
         match self.try_submit_spec(spec) {
             Ok(handle) => handle,
@@ -1432,7 +1432,7 @@ mod tests {
     }
 
     fn offline_counts(graph: &DiGraph, queries: &[PathQuery]) -> Vec<u64> {
-        let (counts, _) = BatchEngine::default().run_counting(graph, queries);
+        let (counts, _) = Engine::new(graph.clone(), BatchEngine::default()).run_counting(queries);
         counts
     }
 

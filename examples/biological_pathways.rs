@@ -53,11 +53,11 @@ fn main() {
         queries.len()
     );
 
-    let engine = BatchEngine::builder()
+    let config = BatchEngine::builder()
         .algorithm(Algorithm::BatchEnumPlus)
         .gamma(0.4)
         .build();
-    let outcome = engine.run(&network, &queries);
+    let outcome = Engine::new(network, config).run(&queries);
 
     println!("\npathways found per pair:");
     for (i, &(s, r)) in pairs.iter().enumerate() {

@@ -84,10 +84,8 @@ fn main() {
         let mut sink = FeatureSink {
             features: &mut features,
         };
-        let engine = BatchEngine::builder()
-            .algorithm(Algorithm::BatchEnumPlus)
-            .build();
-        let stats = engine.run_with_sink(&kg, &queries, &mut sink);
+        let mut engine = Engine::with_algorithm(kg, Algorithm::BatchEnumPlus);
+        let stats = engine.run_with_sink(&queries, &mut sink);
         println!(
             "feature extraction: clusters={} shared_subqueries={} time={:.3?}",
             stats.num_clusters,

@@ -64,11 +64,11 @@ fn similarity_and_psi(graph: &DiGraph, queries: &[PathQuery], gamma: f64) -> (f6
 
 /// The statistics of one counting run.
 fn run(graph: &DiGraph, queries: &[PathQuery], algorithm: Algorithm, gamma: f64) -> EnumStats {
-    let engine = BatchEngine::builder()
+    let config = BatchEngine::builder()
         .algorithm(algorithm)
         .gamma(gamma)
         .build();
-    engine.run_counting(graph, queries).1
+    Engine::new(graph.clone(), config).run_counting(queries).1
 }
 
 fn exp1_similarity_sweep(dataset: Dataset, graph: &DiGraph) {

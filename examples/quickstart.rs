@@ -51,11 +51,12 @@ fn main() {
     ];
 
     // Run the contributed algorithm and print every result path.
-    let engine = BatchEngine::builder()
+    let config = BatchEngine::builder()
         .algorithm(Algorithm::BatchEnumPlus)
         .gamma(0.5)
         .build();
-    let outcome = engine.run(&graph, &queries);
+    let mut engine = Engine::new(graph.clone(), config);
+    let outcome = engine.run(&queries);
 
     for (id, query) in queries.iter().enumerate() {
         println!("\n{query} -> {} HC-s-t paths", outcome.count(id));
@@ -65,15 +66,15 @@ fn main() {
         }
     }
 
-    // The typed request/response surface: one mixed-mode batch, one shared index, each
-    // query paying only for the answer shape it asked for.
+    // The typed request/response surface: one mixed-mode batch over the index the engine
+    // already holds, each query paying only for the answer shape it asked for.
     let specs = vec![
         QuerySpec::exists(queries[0]),     // "is there any path at all?"
         QuerySpec::count(queries[1]),      // "how many?"
         QuerySpec::first_k(queries[2], 2), // "show me two examples"
         QuerySpec::collect(queries[3]),    // "give me everything"
     ];
-    let outcome = engine.run_specs(&graph, &specs);
+    let outcome = engine.run_specs(&specs);
     println!("\nmixed-mode batch (one shared index, per-query result modes):");
     for (spec, response) in specs.iter().zip(&outcome.responses) {
         match response {
@@ -86,8 +87,8 @@ fn main() {
     // Compare all five evaluated algorithms on the same batch.
     println!("\nalgorithm comparison (same results, different work):");
     for algorithm in Algorithm::ALL {
-        let engine = BatchEngine::with_algorithm(algorithm);
-        let (counts, stats) = engine.run_counting(&graph, &queries);
+        let mut engine = Engine::with_algorithm(graph.clone(), algorithm);
+        let (counts, stats) = engine.run_counting(&queries);
         println!(
             "  {:<11} total_paths={:<4} expanded_vertices={:<6} scanned_edges={:<6} \
              clusters={} shared_subqueries={} time={:.3?}",

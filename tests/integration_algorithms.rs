@@ -10,7 +10,7 @@ use hcsp_graph::generators::regular::{complete, cycle, grid, layered_dag};
 
 /// Runs a batch through one engine algorithm and returns per-query canonical path lists.
 fn run_engine(graph: &DiGraph, queries: &[PathQuery], algorithm: Algorithm) -> Vec<Vec<Path>> {
-    let outcome = BatchEngine::with_algorithm(algorithm).run(graph, queries);
+    let outcome = Engine::with_algorithm(graph.clone(), algorithm).run(queries);
     outcome
         .paths
         .iter()
@@ -102,8 +102,8 @@ fn engine_algorithms_agree_on_dataset_analogs() {
         );
         assert!(!queries.is_empty());
 
-        let reference: Vec<u64> = BatchEngine::with_algorithm(Algorithm::PathEnum)
-            .run_counting(&graph, &queries)
+        let reference: Vec<u64> = Engine::with_algorithm(graph.clone(), Algorithm::PathEnum)
+            .run_counting(&queries)
             .0;
         for algorithm in [
             Algorithm::BasicEnum,
@@ -111,7 +111,8 @@ fn engine_algorithms_agree_on_dataset_analogs() {
             Algorithm::BatchEnum,
             Algorithm::BatchEnumPlus,
         ] {
-            let (counts, _) = BatchEngine::with_algorithm(algorithm).run_counting(&graph, &queries);
+            let (counts, _) =
+                Engine::with_algorithm(graph.clone(), algorithm).run_counting(&queries);
             assert_eq!(counts, reference, "{dataset}: {algorithm} count mismatch");
         }
 
@@ -119,7 +120,7 @@ fn engine_algorithms_agree_on_dataset_analogs() {
         for q in queries.iter().take(3) {
             let expected = enumerate_reference(&graph, q).len() as u64;
             let (counts, _) =
-                BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run_counting(&graph, &[*q]);
+                Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus).run_counting(&[*q]);
             assert_eq!(counts[0], expected, "{dataset}: {q}");
         }
     }

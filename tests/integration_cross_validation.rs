@@ -99,7 +99,7 @@ fn every_algorithm_matches_brute_force_on_fixed_graphs() {
             .collect();
         for algorithm in Algorithm::ALL {
             let outcome =
-                BatchEngine::with_algorithm(algorithm).run(&fixture.graph, &fixture.queries);
+                Engine::with_algorithm(fixture.graph.clone(), algorithm).run(&fixture.queries);
             let got: Vec<Vec<Path>> = outcome
                 .paths
                 .iter()
@@ -143,11 +143,11 @@ fn fixture_path_counts_are_the_hand_checked_values() {
 fn algorithms_agree_on_empty_and_singleton_batches() {
     let graph = DiGraph::from_edge_list(3, &[(0, 1), (1, 2)]).unwrap();
     for algorithm in Algorithm::ALL {
-        let outcome = BatchEngine::with_algorithm(algorithm).run(&graph, &[]);
+        let outcome = Engine::with_algorithm(graph.clone(), algorithm).run(&[]);
         assert_eq!(outcome.paths.len(), 0, "{algorithm} on the empty batch");
 
         let queries = vec![PathQuery::new(0u32, 2u32, 2)];
-        let outcome = BatchEngine::with_algorithm(algorithm).run(&graph, &queries);
+        let outcome = Engine::with_algorithm(graph.clone(), algorithm).run(&queries);
         assert_eq!(outcome.count(0), 1, "{algorithm} on a singleton batch");
     }
 }

@@ -15,9 +15,9 @@ fn small_workload() -> (DiGraph, Vec<PathQuery>) {
 #[test]
 fn counting_and_collecting_sinks_agree() {
     let (graph, queries) = small_workload();
-    let engine = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus);
-    let (counts, _) = engine.run_counting(&graph, &queries);
-    let outcome = engine.run(&graph, &queries);
+    let mut engine = Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus);
+    let (counts, _) = engine.run_counting(&queries);
+    let outcome = engine.run(&queries);
     for (i, &c) in counts.iter().enumerate() {
         assert_eq!(c as usize, outcome.count(i), "query {i}");
     }
@@ -27,7 +27,7 @@ fn counting_and_collecting_sinks_agree() {
 #[test]
 fn every_emitted_path_is_a_valid_answer() {
     let (graph, queries) = small_workload();
-    let outcome = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run(&graph, &queries);
+    let outcome = Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus).run(&queries);
     for (i, q) in queries.iter().enumerate() {
         for path in outcome.paths[i].iter() {
             assert_eq!(path[0], q.source);
@@ -53,7 +53,7 @@ fn stats_decomposition_matches_algorithm_structure() {
 
     // PathEnum / BasicEnum never cluster or detect sub-queries.
     let (_, basic) =
-        BatchEngine::with_algorithm(Algorithm::BasicEnumPlus).run_counting(&graph, &queries);
+        Engine::with_algorithm(graph.clone(), Algorithm::BasicEnumPlus).run_counting(&queries);
     assert_eq!(
         basic.stage_time(Stage::ClusterQuery),
         std::time::Duration::ZERO
@@ -68,7 +68,7 @@ fn stats_decomposition_matches_algorithm_structure() {
 
     // BatchEnum+ exercises all four stages.
     let (_, batch) =
-        BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run_counting(&graph, &queries);
+        Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus).run_counting(&queries);
     for stage in Stage::ALL {
         assert!(
             batch.stage_time(stage) > std::time::Duration::ZERO,
@@ -82,15 +82,15 @@ fn stats_decomposition_matches_algorithm_structure() {
 #[test]
 fn gamma_sweep_preserves_results() {
     let (graph, queries) = small_workload();
-    let reference = BatchEngine::with_algorithm(Algorithm::BasicEnum)
-        .run_counting(&graph, &queries)
+    let reference = Engine::with_algorithm(graph.clone(), Algorithm::BasicEnum)
+        .run_counting(&queries)
         .0;
     for gamma in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-        let engine = BatchEngine::builder()
+        let config = BatchEngine::builder()
             .algorithm(Algorithm::BatchEnumPlus)
             .gamma(gamma)
             .build();
-        let (counts, stats) = engine.run_counting(&graph, &queries);
+        let (counts, stats) = Engine::new(graph.clone(), config).run_counting(&queries);
         assert_eq!(counts, reference, "gamma {gamma}");
         assert!(stats.num_clusters >= 1 && stats.num_clusters <= queries.len());
     }
@@ -106,11 +106,11 @@ fn sampled_subgraphs_are_valid_inputs() {
         if queries.is_empty() {
             continue;
         }
-        let a = BatchEngine::with_algorithm(Algorithm::BasicEnumPlus)
-            .run_counting(&sampled.graph, &queries)
+        let a = Engine::with_algorithm(sampled.graph.clone(), Algorithm::BasicEnumPlus)
+            .run_counting(&queries)
             .0;
-        let b = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus)
-            .run_counting(&sampled.graph, &queries)
+        let b = Engine::with_algorithm(sampled.graph.clone(), Algorithm::BatchEnumPlus)
+            .run_counting(&queries)
             .0;
         assert_eq!(a, b, "ratio {ratio}");
     }
@@ -122,11 +122,11 @@ fn callback_sink_streams_all_results() {
     let mut streamed = 0u64;
     {
         let mut sink = CallbackSink::new(|_, _: &[VertexId]| streamed += 1);
-        BatchEngine::with_algorithm(Algorithm::BatchEnum)
-            .run_with_sink(&graph, &queries, &mut sink);
+        Engine::with_algorithm(graph.clone(), Algorithm::BatchEnum)
+            .run_with_sink(&queries, &mut sink);
     }
     let (counts, _) =
-        BatchEngine::with_algorithm(Algorithm::BatchEnum).run_counting(&graph, &queries);
+        Engine::with_algorithm(graph.clone(), Algorithm::BatchEnum).run_counting(&queries);
     assert_eq!(streamed, counts.iter().sum::<u64>());
 }
 
@@ -135,11 +135,11 @@ fn larger_batches_on_multiple_datasets_stay_consistent() {
     for dataset in [Dataset::WT, Dataset::LJ] {
         let graph = dataset.build(DatasetScale::Tiny);
         let queries = random_query_set(&graph, QuerySetSpec::new(25, 17).with_hops(3, 5));
-        let a = BatchEngine::with_algorithm(Algorithm::BasicEnum)
-            .run_counting(&graph, &queries)
+        let a = Engine::with_algorithm(graph.clone(), Algorithm::BasicEnum)
+            .run_counting(&queries)
             .0;
-        let b = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus)
-            .run_counting(&graph, &queries)
+        let b = Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus)
+            .run_counting(&queries)
             .0;
         assert_eq!(a, b, "{dataset}");
     }

@@ -66,7 +66,7 @@ fn path_ids(paths: &[Path]) -> Vec<Vec<u32>> {
 #[test]
 fn example_2_1_q0_has_exactly_the_three_listed_paths() {
     let g = paper_graph();
-    let outcome = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run(&g, &paper_queries());
+    let outcome = Engine::with_algorithm(g.clone(), Algorithm::BatchEnumPlus).run(&paper_queries());
     let q0 = path_ids(&canonical(outcome.paths[0].to_paths()));
     assert_eq!(
         q0,
@@ -82,7 +82,7 @@ fn example_2_1_q0_has_exactly_the_three_listed_paths() {
 fn figure_3_q1_shares_the_inner_segments_with_q0() {
     // Fig. 3 (b): q1's paths mirror q0's with only the endpoints differing.
     let g = paper_graph();
-    let outcome = BatchEngine::with_algorithm(Algorithm::BatchEnum).run(&g, &paper_queries());
+    let outcome = Engine::with_algorithm(g.clone(), Algorithm::BatchEnum).run(&paper_queries());
     let q1 = path_ids(&canonical(outcome.paths[1].to_paths()));
     assert_eq!(
         q1,
@@ -106,7 +106,7 @@ fn all_five_queries_return_correct_counts_under_every_algorithm() {
     assert_eq!(reference[0], 3);
     assert_eq!(reference[1], 3);
     for algorithm in Algorithm::ALL {
-        let (counts, _) = BatchEngine::with_algorithm(algorithm).run_counting(&g, &queries);
+        let (counts, _) = Engine::with_algorithm(g.clone(), algorithm).run_counting(&queries);
         assert_eq!(counts, reference, "{algorithm}");
     }
 }
@@ -182,11 +182,11 @@ fn example_4_2_detects_the_dominating_queries_of_figure_6() {
 fn example_4_3_shared_enumeration_reuses_cached_results() {
     let g = paper_graph();
     let queries = paper_queries();
-    let (counts, stats) = BatchEngine::builder()
+    let config = BatchEngine::builder()
         .algorithm(Algorithm::BatchEnum)
         .gamma(0.8)
-        .build()
-        .run_counting(&g, &queries);
+        .build();
+    let (counts, stats) = Engine::new(g.clone(), config).run_counting(&queries);
     assert!(counts.iter().sum::<u64>() >= 6);
     assert!(stats.num_clusters <= 3, "similar queries must be grouped");
     assert!(
@@ -199,7 +199,7 @@ fn example_4_3_shared_enumeration_reuses_cached_results() {
     );
     // The computation-sharing variant must expand fewer vertices than the baseline.
     let (_, basic_stats) =
-        BatchEngine::with_algorithm(Algorithm::BasicEnum).run_counting(&g, &queries);
+        Engine::with_algorithm(g.clone(), Algorithm::BasicEnum).run_counting(&queries);
     assert!(
         stats.counters.expanded_vertices <= basic_stats.counters.expanded_vertices,
         "BatchEnum expanded {} vertices, BasicEnum {}",
@@ -251,7 +251,7 @@ fn golden_path_order_and_counters_for_every_algorithm() {
     let g = paper_graph();
     let queries = paper_queries();
     for algorithm in Algorithm::ALL {
-        let outcome = BatchEngine::with_algorithm(algorithm).run(&g, &queries);
+        let outcome = Engine::with_algorithm(g.clone(), algorithm).run(&queries);
         let got: Vec<Vec<Vec<u32>>> = outcome
             .paths
             .iter()

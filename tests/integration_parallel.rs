@@ -13,7 +13,6 @@
 //! Timing-derived fields (stage durations) are excluded by design: they measure the
 //! machine, not the algorithm.
 
-use hcsp::core::{BasicEnum, BatchEnum};
 use hcsp::prelude::*;
 use hcsp::workload::{random_query_set, similar_query_set, QuerySetSpec};
 use hcsp_graph::generators::erdos_renyi::gnm_random;
@@ -51,13 +50,13 @@ fn workloads() -> Vec<(String, DiGraph, Vec<PathQuery>)> {
 
 fn collect_sequential_batch(graph: &DiGraph, queries: &[PathQuery]) -> (CollectSink, EnumStats) {
     let mut sink = CollectSink::new(queries.len());
-    let stats =
-        BatchEnum::new(SearchOrder::DistanceThenDegree, 0.5).run_batch(graph, queries, &mut sink);
+    let stats = Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus)
+        .run_with_sink(queries, &mut sink);
     (sink, stats)
 }
 
 /// One parallel run on a fresh engine (so it builds the index from the batch alone, as
-/// the one-shot sequential runners do).
+/// the sequential runs here do).
 fn run_parallel(
     algorithm: Algorithm,
     graph: &DiGraph,
@@ -127,11 +126,8 @@ fn parallel_runs_are_deterministic_across_repetitions() {
 fn parallel_basic_enum_matches_sequential_basic_enum() {
     for (name, graph, queries) in workloads() {
         let mut sequential = CollectSink::new(queries.len());
-        let seq_stats = BasicEnum::new(SearchOrder::DistanceThenDegree).run_batch(
-            &graph,
-            &queries,
-            &mut sequential,
-        );
+        let seq_stats = Engine::with_algorithm(graph.clone(), Algorithm::BasicEnumPlus)
+            .run_with_sink(&queries, &mut sequential);
         for workers in THREAD_COUNTS {
             let (parallel, par_stats) =
                 run_parallel(Algorithm::BasicEnumPlus, &graph, &queries, workers);

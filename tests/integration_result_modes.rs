@@ -177,7 +177,7 @@ fn mixed_mode_batches_are_lossless_through_the_service() {
     assert!(!specs.is_empty());
     // Ground truth per query from a full offline enumeration.
     let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
-    let reference = BatchEngine::default().run(&graph, &queries);
+    let reference = Engine::new(graph.clone(), BatchEngine::default()).run(&queries);
 
     for (policy_label, policy, workers) in [
         ("immediate", BatchPolicy::immediate(), 1),
@@ -285,21 +285,17 @@ proptest! {
     fn response_modes_are_consistent((graph, queries) in workload_strategy()) {
         const K: usize = 2;
         for algorithm in [Algorithm::PathEnum, Algorithm::BasicEnumPlus, Algorithm::BatchEnumPlus] {
-            let engine = BatchEngine::with_algorithm(algorithm);
+            let mut engine = Engine::with_algorithm(graph.clone(), algorithm);
             let collect = engine.run_specs(
-                &graph,
                 &queries.iter().map(|&q| QuerySpec::collect(q)).collect::<Vec<_>>(),
             );
             let exists = engine.run_specs(
-                &graph,
                 &queries.iter().map(|&q| QuerySpec::exists(q)).collect::<Vec<_>>(),
             );
             let counts = engine.run_specs(
-                &graph,
                 &queries.iter().map(|&q| QuerySpec::count(q)).collect::<Vec<_>>(),
             );
             let first = engine.run_specs(
-                &graph,
                 &queries.iter().map(|&q| QuerySpec::first_k(q, K)).collect::<Vec<_>>(),
             );
             for (i, q) in queries.iter().enumerate() {

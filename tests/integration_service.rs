@@ -28,7 +28,7 @@ fn service_workload() -> (DiGraph, Vec<PathQuery>) {
 
 /// One offline `BatchEnum+` run: the ground truth the service must reproduce.
 fn offline_reference(graph: &DiGraph, queries: &[PathQuery]) -> Vec<BTreeSet<Vec<u32>>> {
-    let outcome = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run(graph, queries);
+    let outcome = Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus).run(queries);
     outcome.paths.iter().map(canonical).collect()
 }
 

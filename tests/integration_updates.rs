@@ -9,6 +9,7 @@
 
 use hcsp::prelude::*;
 use hcsp::workload::{update_stream, Dataset, DatasetScale, StreamEvent, UpdateStreamSpec};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Drives one engine through a mixed stream, cross-validating against a from-scratch
@@ -108,17 +109,18 @@ fn service_stream_is_lossless(workers: usize) {
     // Submit the whole stream in admission order, recording each query's expected
     // answer from an offline engine over the snapshot it was admitted under.
     let mut oracle = DeltaGraph::new(graph);
-    let mut snapshot = oracle.compact();
+    let mut snapshot = Arc::new(oracle.compact());
     let mut snapshot_dirty = false;
     let mut expectations = Vec::new();
     for event in &events {
         match event {
             StreamEvent::Query(q) => {
                 if snapshot_dirty {
-                    snapshot = oracle.compact();
+                    snapshot = Arc::new(oracle.compact());
                     snapshot_dirty = false;
                 }
-                let expected = BatchEngine::default().run(&snapshot, &[*q]);
+                let expected =
+                    Engine::new(Arc::clone(&snapshot), BatchEngine::default()).run(&[*q]);
                 expectations.push((service.submit(*q), *q, expected.paths));
             }
             StreamEvent::Update(batch) => {

@@ -32,9 +32,9 @@ fn batch_engine_runs_on_every_smoke_dataset() {
         let graph = dataset.build(DatasetScale::Tiny);
         let queries = random_query_set(&graph, QuerySetSpec::new(10, 31).with_hops(3, 4));
         let (basic, _) =
-            BatchEngine::with_algorithm(Algorithm::BasicEnumPlus).run_counting(&graph, &queries);
+            Engine::with_algorithm(graph.clone(), Algorithm::BasicEnumPlus).run_counting(&queries);
         let (batch, stats) =
-            BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run_counting(&graph, &queries);
+            Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus).run_counting(&queries);
         assert_eq!(basic, batch, "{dataset}: result counts must agree");
         assert_eq!(stats.num_queries, queries.len());
     }
@@ -55,8 +55,8 @@ fn similarity_controlled_sets_drive_more_sharing() {
         .gamma(0.5)
         .build();
     let unshared = BatchEngine::with_algorithm(Algorithm::BasicEnumPlus);
-    let (_, stats_low) = shared.run_counting(&graph, &low);
-    let (_, stats_high) = shared.run_counting(&graph, &high);
+    let (_, stats_low) = Engine::new(graph.clone(), shared).run_counting(&low);
+    let (_, stats_high) = Engine::new(graph.clone(), shared).run_counting(&high);
 
     assert!(
         stats_high.num_clusters <= stats_low.num_clusters.max(2),
@@ -68,8 +68,8 @@ fn similarity_controlled_sets_drive_more_sharing() {
     // The real claim of Exp-1: relative to the non-sharing baseline on the *same* query
     // set, the shared algorithm saves a larger fraction of the traversal work when the
     // batch is more similar.
-    let (_, base_low) = unshared.run_counting(&graph, &low);
-    let (_, base_high) = unshared.run_counting(&graph, &high);
+    let (_, base_low) = Engine::new(graph.clone(), unshared).run_counting(&low);
+    let (_, base_high) = Engine::new(graph.clone(), unshared).run_counting(&high);
     let ratio_low = stats_low.counters.expanded_vertices as f64
         / base_low.counters.expanded_vertices.max(1) as f64;
     let ratio_high = stats_high.counters.expanded_vertices as f64
@@ -110,15 +110,15 @@ fn measured_similarity_tracks_the_generator_knob() {
 fn correctness_holds_on_similarity_controlled_batches() {
     let graph = Dataset::EP.build(DatasetScale::Tiny);
     let queries = similar_query_set(&graph, QuerySetSpec::new(12, 19).with_hops(3, 4), 0.7);
-    let reference = BatchEngine::with_algorithm(Algorithm::PathEnum)
-        .run_counting(&graph, &queries)
+    let reference = Engine::with_algorithm(graph.clone(), Algorithm::PathEnum)
+        .run_counting(&queries)
         .0;
     for algorithm in [
         Algorithm::BasicEnum,
         Algorithm::BatchEnum,
         Algorithm::BatchEnumPlus,
     ] {
-        let (counts, _) = BatchEngine::with_algorithm(algorithm).run_counting(&graph, &queries);
+        let (counts, _) = Engine::with_algorithm(graph.clone(), algorithm).run_counting(&queries);
         assert_eq!(counts, reference, "{algorithm}");
     }
 }
@@ -131,7 +131,7 @@ fn path_counts_grow_with_the_hop_constraint() {
     for k in 3..=5u32 {
         let queries = random_query_set(&graph, QuerySetSpec::new(10, 41).with_hops(k, k));
         let (counts, _) =
-            BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run_counting(&graph, &queries);
+            Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus).run_counting(&queries);
         totals.push(counts.iter().sum::<u64>());
     }
     assert!(

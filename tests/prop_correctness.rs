@@ -239,7 +239,7 @@ proptest! {
         let reference: Vec<Vec<Path>> =
             queries.iter().map(|q| canonical(enumerate_reference(&graph, q))).collect();
         for algorithm in Algorithm::ALL {
-            let outcome = BatchEngine::with_algorithm(algorithm).run(&graph, &queries);
+            let outcome = Engine::with_algorithm(graph.clone(), algorithm).run(&queries);
             let got: Vec<Vec<Path>> =
                 outcome.paths.iter().map(|set| canonical(set.to_paths())).collect();
             prop_assert_eq!(&got, &reference, "algorithm {}", algorithm);
@@ -276,7 +276,7 @@ proptest! {
                         &mut sink,
                     );
                 } else {
-                    engine.run_with_sink(&graph, &queries, &mut sink);
+                    Engine::new(graph.clone(), engine).run_with_sink(&queries, &mut sink);
                 }
                 seen
             };
@@ -333,7 +333,7 @@ proptest! {
     /// Every returned path is simple, edge-valid, endpoint-correct and within the bound.
     #[test]
     fn returned_paths_are_well_formed((graph, queries) in workload_strategy()) {
-        let outcome = BatchEngine::with_algorithm(Algorithm::BatchEnumPlus).run(&graph, &queries);
+        let outcome = Engine::with_algorithm(graph.clone(), Algorithm::BatchEnumPlus).run(&queries);
         for (i, q) in queries.iter().enumerate() {
             for path in outcome.paths[i].iter() {
                 prop_assert_eq!(path[0], q.source);
