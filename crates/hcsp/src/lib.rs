@@ -90,8 +90,8 @@ pub mod prelude {
     pub use hcsp_server::{Client, PathServer, Reply, ServerConfig};
     pub use hcsp_service::{
         Abandoned, AdmissionError, BatchPolicy, DurabilityBackend, DurabilityOptions, FsyncPolicy,
-        PathService, PathServiceBuilder, QueryHandle, QueryResult, RecoveryReport, SpecHandle,
-        SpecResult, StorageError, UpdateHandle,
+        PathService, PathServiceBuilder, RecoveryReport, SpecHandle, SpecResult, StorageError,
+        UpdateHandle,
     };
 }
 

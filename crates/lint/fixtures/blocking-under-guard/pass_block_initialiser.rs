@@ -1,7 +1,7 @@
 // Regression: a guard taken inside a block initialiser dies with the inner
 // block, not with the outer binding — the fsync below runs lock-free. This is
 // exactly the shape of `PathService::try_update`.
-fn update(cell: &EpochCell, group: &Group, store: &Store) -> Summary {
+fn try_update(cell: &EpochCell, group: &Group, store: &Store) -> Summary {
     let summary = {
         let publisher = cell.publisher.lock().unwrap();
         publisher.publish()

@@ -6,7 +6,7 @@
 //! blocked at a rendezvous while still holding a queue mutex; this rule pins
 //! the generalised discipline: acquire the admission/epoch lock, do the
 //! O(small) critical-section work, release *before* anything that can park the
-//! thread (`recv`, condvar `wait`, `join`, file `sync`).
+//! thread (`recv`, condvar `wait`, a handle's `wait_result`, `join`, file `sync`).
 //!
 //! Guard liveness is tracked lexically: a `let` binding whose initialiser
 //! locks a tracked lock makes the binding a live guard until `drop(guard)`,
@@ -23,10 +23,11 @@ use crate::{Diagnostic, SourceFile};
 const TRACKED_LOCKS: [&str; 1] = ["publisher"];
 
 /// Calls that can park the thread for an unbounded time.
-const BLOCKING: [&str; 12] = [
+const BLOCKING: [&str; 13] = [
     "recv",
     "recv_timeout",
     "wait",
+    "wait_result",
     "wait_timeout",
     "wait_while",
     "join",

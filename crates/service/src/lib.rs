@@ -33,7 +33,7 @@ pub mod service;
 pub use policy::BatchPolicy;
 pub use service::{
     Abandoned, AdmissionError, DurabilityBackend, DurabilityOptions, PathService,
-    PathServiceBuilder, QueryHandle, QueryResult, SpecHandle, SpecResult, UpdateHandle,
+    PathServiceBuilder, SpecHandle, SpecResult, UpdateHandle,
 };
 
 // Re-exported so service users can build typed requests, read the aggregate counters,

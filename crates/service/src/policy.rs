@@ -37,14 +37,6 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// A policy with an explicit size cap and deadline window.
-    pub fn new(max_batch_size: usize, max_delay: Duration) -> Self {
-        BatchPolicy {
-            max_batch_size: max_batch_size.max(1),
-            max_delay,
-        }
-    }
-
     /// Per-query execution: every query is dispatched immediately as its own batch.
     pub fn immediate() -> Self {
         BatchPolicy {
@@ -54,9 +46,12 @@ impl BatchPolicy {
     }
 
     /// Size-triggered batching with a latency bound: dispatch at `n` queries or after
-    /// `max_delay`, whichever happens first.
+    /// `max_delay`, whichever happens first. A size of 0 is treated as 1.
     pub fn by_size(n: usize, max_delay: Duration) -> Self {
-        BatchPolicy::new(n, max_delay)
+        BatchPolicy {
+            max_batch_size: n.max(1),
+            max_delay,
+        }
     }
 
     /// Whether the policy degenerates to per-query execution (no admission wait at all).
@@ -71,7 +66,7 @@ mod tests {
 
     #[test]
     fn constructors_normalise_degenerate_sizes() {
-        let p = BatchPolicy::new(0, Duration::from_millis(5));
+        let p = BatchPolicy::by_size(0, Duration::from_millis(5));
         assert_eq!(p.max_batch_size, 1);
         assert!(p.is_per_query());
         let p = BatchPolicy::by_size(16, Duration::from_millis(2));
@@ -82,7 +77,7 @@ mod tests {
     #[test]
     fn zero_delay_is_per_query() {
         assert!(BatchPolicy::immediate().is_per_query());
-        assert!(BatchPolicy::new(100, Duration::ZERO).is_per_query());
+        assert!(BatchPolicy::by_size(100, Duration::ZERO).is_per_query());
         assert!(!BatchPolicy::default().is_per_query());
     }
 }

@@ -2,13 +2,18 @@
 //! in shared micro-batches against epoch-pinned graph snapshots.
 //!
 //! ```text
-//!  submit_spec() ─► pin tip Epoch ─► admission queue ─► batcher thread ─► worker pool
-//!     │             (EpochPublisher   (mpsc channel)    closes windows    one reusable
-//!     │              behind a mutex)                    by size/deadline/ Engine each,
-//!     │                                                 epoch change      advanced to the
-//!     ▼                                                                   batch's epoch
-//!  SpecHandle ◄──────────────── per-query result slots ◄─────────── Engine::run_specs
+//!  try_submit_spec() ─► pin tip Epoch ─► admission queue ─► batcher thread ─► worker pool
+//!     │     │           (EpochPublisher   (mpsc channel)    closes windows    one reusable
+//!     │     ▼            behind a mutex)                    by size/deadline/ Engine each,
+//!     │  Err(AdmissionError)                                epoch change      advanced to the
+//!     ▼                                                                       batch's epoch
+//!  SpecHandle::wait_result() ◄───── per-query result slots ◄─────────── Engine::run_specs
 //! ```
+//!
+//! There is one request surface: [`PathService::try_submit_spec`] and
+//! [`PathService::try_update`] refuse what they cannot admit with an [`AdmissionError`],
+//! and [`Handle::wait_result`] reports a request the service can no longer answer as
+//! [`Abandoned`]. Nothing on it panics on a caller's behalf.
 //!
 //! Every worker owns a reusable [`Engine`], so the batch index survives across
 //! micro-batches: repeated endpoints cost no BFS work, new endpoints extend the index
@@ -16,11 +21,10 @@
 //! typed [`QuerySpec`] — result mode plus optional path budget — executed through
 //! [`Engine::run_specs`], so an `Exists` probe or a `FirstK` request stops paying
 //! enumeration cost the moment it is satisfied even when it shares a micro-batch with
-//! full-enumeration queries. The classic [`PathService::submit`] surface remains as a
-//! `Collect`-mode wrapper.
+//! full-enumeration queries.
 //!
-//! Graph updates ([`PathService::update`]) never block readers. An update publishes a new
-//! [`Epoch`] — an immutable snapshot with a version id — synchronously under the same
+//! Graph updates ([`PathService::try_update`]) never block readers. An update publishes a
+//! new [`Epoch`] — an immutable snapshot with a version id — synchronously under the same
 //! admission lock queries pin the tip through, so the epoch each query sees is exactly
 //! the one defined by its admission order. Micro-batches already pinned to an older epoch
 //! keep executing against their snapshot, barrier-free, while the new epoch is served to
@@ -33,7 +37,7 @@
 use crate::policy::BatchPolicy;
 use hcsp_core::{
     BatchEngine, DurabilitySink, Engine, Epoch, EpochPublisher, MicroBatchStats, PathQuery,
-    PathSet, QueryResponse, QuerySpec, ServiceStats, UpdateSummary,
+    QueryResponse, QuerySpec, ServiceStats, UpdateSummary,
 };
 use hcsp_graph::{DiGraph, GraphUpdate};
 use hcsp_storage::snapshot::write_snapshot;
@@ -47,18 +51,16 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The request will never be answered: the worker executing it panicked (queries) or the
-/// service failed internally (updates). Returned by the non-panicking `wait_result` /
-/// `try_wait` accessors; the plain `wait` surfaces it as a panic instead of hanging.
+/// The request will never be answered: the worker executing it panicked mid-batch.
+/// Returned by [`Handle::wait_result`] instead of leaving the waiter parked forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Abandoned;
 
 /// Why a request was refused *at admission* — before it ever reached the queue.
 ///
-/// Returned by the fallible submission surface ([`PathService::try_submit`],
-/// [`PathService::try_submit_spec`], [`PathService::try_update`]). The panicking
-/// wrappers ([`PathService::submit`] and friends) turn these into panics; a network
-/// front-end maps them to protocol error frames instead.
+/// Returned by [`PathService::try_submit_spec`] and [`PathService::try_update`], the
+/// service's only request entry points; a network front-end maps each refusal to a
+/// protocol error frame and keeps the connection serving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionError {
     /// The query names a vertex outside the served graph's vertex space.
@@ -118,18 +120,6 @@ pub struct SpecResult {
     pub batch_size: usize,
 }
 
-/// The answer to one served `Collect`-mode query (the classic [`PathService::submit`]
-/// surface).
-#[derive(Debug)]
-pub struct QueryResult {
-    /// Every HC-s-t path of the query.
-    pub paths: PathSet,
-    /// Time the query spent in the admission queue before its micro-batch started.
-    pub queue_wait: Duration,
-    /// Size of the micro-batch the query was executed in.
-    pub batch_size: usize,
-}
-
 /// Lifecycle of a one-shot slot.
 #[derive(Debug, Default)]
 enum SlotState<T> {
@@ -138,8 +128,8 @@ enum SlotState<T> {
     Pending,
     /// The value is available.
     Ready(T),
-    /// The request will never be answered (worker panic mid-batch, or an internal
-    /// failure while publishing an update).
+    /// The request will never be answered: its submission was dropped unfulfilled
+    /// (worker panic mid-batch, or an internal channel failure).
     Abandoned,
 }
 
@@ -194,27 +184,15 @@ impl<T> Slot<T> {
 /// A one-shot claim on a value the service will produce: see [`SpecHandle`] and
 /// [`UpdateHandle`].
 #[derive(Debug)]
-#[must_use = "dropping one silently discards the result or acknowledgement; call wait() or try_wait()"]
+#[must_use = "dropping one silently discards the result or acknowledgement; call wait_result()"]
 pub struct Handle<T> {
     slot: Arc<Slot<T>>,
 }
 
 impl<T> Handle<T> {
-    /// Blocks until the value is available and returns it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request was abandoned — the worker executing the query's
-    /// micro-batch panicked, or the service failed internally while publishing the
-    /// update — so the failure surfaces instead of hanging forever. Use
-    /// [`Handle::wait_result`] to handle that case as an error.
-    pub fn wait(self) -> T {
-        self.wait_result()
-            .expect("request abandoned: the service failed while handling it")
-    }
-
-    /// Blocks until the value is available; returns [`Abandoned`] instead of panicking
-    /// when the request will never be answered.
+    /// Blocks until the value is available; returns [`Abandoned`] when the request will
+    /// never be answered (the worker executing the query's micro-batch panicked), so the
+    /// failure surfaces instead of hanging forever.
     pub fn wait_result(self) -> Result<T, Abandoned> {
         let mut state = self.slot.state.lock().unwrap();
         loop {
@@ -225,97 +203,21 @@ impl<T> Handle<T> {
             }
         }
     }
-
-    /// Non-blocking claim: the value (or the abandonment) if it is already decided,
-    /// otherwise the handle itself back, still waitable.
-    #[allow(clippy::result_large_err)] // Err is the handle handed back, not an error.
-    pub fn try_wait(self) -> Result<Result<T, Abandoned>, Handle<T>> {
-        {
-            let mut state = self.slot.state.lock().unwrap();
-            match std::mem::take(&mut *state) {
-                SlotState::Ready(value) => return Ok(Ok(value)),
-                SlotState::Abandoned => return Ok(Err(Abandoned)),
-                SlotState::Pending => {}
-            }
-        }
-        Err(self)
-    }
-
-    /// Whether the value (or the abandonment) is already decided (non-blocking).
-    pub fn is_ready(&self) -> bool {
-        !matches!(*self.slot.state.lock().unwrap(), SlotState::Pending)
-    }
 }
 
 /// A claim on the typed result of one submitted [`QuerySpec`]: ready once the spec's
 /// micro-batch has executed.
 pub type SpecHandle = Handle<SpecResult>;
 
-/// A claim on the completion of one [`PathService::update`] call.
+/// A claim on the completion of one [`PathService::try_update`] call.
 ///
-/// Publication is synchronous with [`PathService::update`] — the handle is ready by the
-/// time that call returns — so `wait` never blocks behind query execution: the epoch
-/// protocol applies updates to worker engines lazily, per pinned micro-batch, not behind
-/// a pool-wide barrier. Once `wait` returns (equivalently, once the `update` call itself
-/// returned), every query submitted afterwards executes against the updated snapshot;
-/// queries submitted before it keep their pinned pre-update snapshot regardless of
-/// execution timing.
+/// Publication is synchronous with [`PathService::try_update`] — the handle is already
+/// fulfilled when that call returns `Ok` — so `wait_result` never blocks behind query
+/// execution: the epoch protocol applies updates to worker engines lazily, per pinned
+/// micro-batch, not behind a pool-wide barrier. Every query submitted after the call
+/// returned executes against the updated snapshot; queries submitted before it keep
+/// their pinned pre-update snapshot regardless of execution timing.
 pub type UpdateHandle = Handle<UpdateSummary>;
-
-/// A claim on the result of one submitted `Collect`-mode query (wraps a [`SpecHandle`]).
-#[derive(Debug)]
-#[must_use = "dropping one silently abandons the result; call wait() or try_wait()"]
-pub struct QueryHandle {
-    inner: SpecHandle,
-}
-
-impl QueryHandle {
-    /// Blocks until the query's micro-batch has executed and returns the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker executing the query's micro-batch panicked (the query can
-    /// never be answered; panicking here surfaces the failure instead of hanging
-    /// forever). Use [`QueryHandle::wait_result`] to handle that case as an error.
-    pub fn wait(self) -> QueryResult {
-        self.wait_result()
-            .expect("query abandoned: the service worker executing it panicked")
-    }
-
-    /// Blocks until the query's micro-batch has executed; returns [`Abandoned`] instead
-    /// of panicking when the worker executing it died.
-    pub fn wait_result(self) -> Result<QueryResult, Abandoned> {
-        self.inner.wait_result().map(QueryResult::from_spec)
-    }
-
-    /// Non-blocking claim: the result (or the abandonment) if it is already decided,
-    /// otherwise the handle itself back, still waitable.
-    #[allow(clippy::result_large_err)] // Err is the handle handed back, not an error.
-    pub fn try_wait(self) -> Result<Result<QueryResult, Abandoned>, QueryHandle> {
-        match self.inner.try_wait() {
-            Ok(decided) => Ok(decided.map(QueryResult::from_spec)),
-            Err(inner) => Err(QueryHandle { inner }),
-        }
-    }
-
-    /// Whether the result is already available (non-blocking).
-    pub fn is_ready(&self) -> bool {
-        self.inner.is_ready()
-    }
-}
-
-impl QueryResult {
-    fn from_spec(result: SpecResult) -> QueryResult {
-        QueryResult {
-            paths: result
-                .response
-                .into_paths()
-                .expect("submit() always runs in Collect mode"),
-            queue_wait: result.queue_wait,
-            batch_size: result.batch_size,
-        }
-    }
-}
 
 /// One queued query spec together with its arrival time, pinned epoch and result slot.
 struct Submission {
@@ -344,8 +246,9 @@ struct MicroBatch {
 /// lock, plus a lock-free mirror of the tip id so workers can cheaply detect whether a
 /// batch they just finished was pinned behind the tip.
 struct EpochCell {
-    /// Serialises publishes against tip pins: `submit_spec` reads the tip and enqueues
-    /// under this lock, `update` publishes under it, so epoch order *is* admission order.
+    /// Serialises publishes against tip pins: `try_submit_spec` reads the tip and
+    /// enqueues under this lock, `try_update` publishes under it, so epoch order *is*
+    /// admission order.
     publisher: Mutex<EpochPublisher>,
     /// The tip epoch's id, mirrored on every publish (`Release`; readers `Acquire`).
     tip_id: AtomicU64,
@@ -889,7 +792,7 @@ impl PathServiceBuilder {
 /// submissions of exactly one epoch. When an arriving submission pins a *different*
 /// epoch than the window's, the window closes (its queries execute against their pinned
 /// snapshot, undisturbed) and the newcomer seeds the next window. The batcher never sees
-/// updates at all — publication happens synchronously inside [`PathService::update`] —
+/// updates at all — publication happens synchronously inside [`PathService::try_update`] —
 /// so a no-op update, which republishes the same tip, splits nothing.
 fn batcher_loop(rx: Receiver<Submission>, batch_tx: Sender<MicroBatch>, policy: BatchPolicy) {
     // A submission that pinned a newer epoch than the open window; it closed that window
@@ -989,8 +892,8 @@ fn worker_loop(
             max_queue_wait = max_queue_wait.max(queue_wait);
         }
 
-        // Record before delivering: a caller returning from `wait()` may immediately
-        // snapshot `PathService::stats()` and must see this batch counted.
+        // Record before delivering: a caller returning from `wait_result()` may
+        // immediately snapshot `PathService::stats()` and must see this batch counted.
         {
             let mut stats = stats.lock().unwrap();
             stats.record(&MicroBatchStats {
@@ -1027,7 +930,7 @@ fn worker_loop(
 /// ```
 /// use hcsp_core::PathQuery;
 /// use hcsp_graph::DiGraph;
-/// use hcsp_service::{BatchPolicy, PathService};
+/// use hcsp_service::{AdmissionError, BatchPolicy, GraphUpdate, PathService, QuerySpec};
 /// use std::time::Duration;
 ///
 /// // A diamond with two parallel 2-hop routes.
@@ -1038,10 +941,22 @@ fn worker_loop(
 ///     .unwrap();
 ///
 /// // Queries are submitted one at a time; each handle waits for its own result.
-/// let handle = service.submit(PathQuery::new(0u32, 3u32, 3));
-/// let result = handle.wait();
-/// assert_eq!(result.paths.len(), 2);
-/// assert_eq!(result.paths.get(0)[0], hcsp_graph::VertexId(0));
+/// let handle = service
+///     .try_submit_spec(QuerySpec::collect(PathQuery::new(0u32, 3u32, 3)))
+///     .unwrap();
+/// let paths = handle.wait_result().unwrap().response.into_paths().unwrap();
+/// assert_eq!(paths.len(), 2);
+/// assert_eq!(paths.get(0)[0], hcsp_graph::VertexId(0));
+///
+/// // Admission refuses what it cannot serve; the service keeps serving.
+/// let refused = service.try_submit_spec(QuerySpec::exists(PathQuery::new(0u32, 9u32, 3)));
+/// assert!(matches!(refused, Err(AdmissionError::InvalidEndpoint { .. })));
+/// let summary = service
+///     .try_update(vec![GraphUpdate::delete(0u32, 1u32)])
+///     .unwrap()
+///     .wait_result()
+///     .unwrap();
+/// assert_eq!(summary.applied, 1);
 ///
 /// let stats = service.shutdown();
 /// assert_eq!(stats.num_queries, 1);
@@ -1076,13 +991,6 @@ impl PathService {
         PathServiceBuilder::default()
     }
 
-    /// Starts a service over `graph` with default engine, policy and a single worker.
-    pub fn start(graph: impl Into<Arc<DiGraph>>) -> Self {
-        PathService::builder()
-            .start(graph)
-            .expect("an ephemeral service start cannot fail")
-    }
-
     /// Opens a durable service from an existing store directory with default
     /// configuration, recovering the last acknowledged state (snapshot + log-tail
     /// replay). See [`PathServiceBuilder::open`] for the configurable variant and
@@ -1091,7 +999,8 @@ impl PathService {
         PathService::builder().open(dir)
     }
 
-    /// Submits one typed query request; returns a handle to wait on its typed result.
+    /// Submits one typed query request; returns a handle to wait on its typed result, or
+    /// the reason admission refused it.
     ///
     /// The spec's [`hcsp_core::ResultMode`] decides both the response shape and how much
     /// work the query costs: an `Exists` probe or a `FirstK` request stops the moment it
@@ -1105,25 +1014,11 @@ impl PathService {
     /// function of the batch (and always a subset of the full result set), but batching
     /// itself depends on arrival timing.
     ///
-    /// # Panics
-    ///
-    /// Panics if admission refuses the spec — out-of-range endpoints (in the caller's
-    /// thread, rather than in a worker that is executing other users' queries), a
-    /// shutting-down service, or a poisoned admission lock. Use
-    /// [`PathService::try_submit_spec`] to handle those cases as errors; a thin
-    /// `expect`-style wrapper is all this method is.
-    pub fn submit_spec(&self, spec: QuerySpec) -> SpecHandle {
-        match self.try_submit_spec(spec) {
-            Ok(handle) => handle,
-            Err(refusal) => panic!("{refusal}"),
-        }
-    }
-
-    /// Fallible twin of [`PathService::submit_spec`]: refuses the spec with an
-    /// [`AdmissionError`] instead of panicking.
-    ///
-    /// This is the surface a network front-end uses — an invalid query from one client
-    /// must become an error *response*, never a panic inside the serving process.
+    /// Refusals are [`AdmissionError`]s, never panics: out-of-range endpoints are
+    /// rejected here, in the caller's thread, rather than in a worker that is executing
+    /// other users' queries, and a shutting-down service or a poisoned admission lock
+    /// refuses too. A network front-end turns each refusal into an error *response*;
+    /// the service keeps serving.
     pub fn try_submit_spec(&self, spec: QuerySpec) -> Result<SpecHandle, AdmissionError> {
         // The admission lock is held across the send: the pinned tip cannot be
         // superseded between validation and admission, so a query validated against a
@@ -1158,29 +1053,9 @@ impl PathService {
         Ok(SpecHandle { slot })
     }
 
-    /// Submits one query in `Collect` mode (the classic surface); returns a handle to
-    /// wait on its full result set. Equivalent to
-    /// `submit_spec(QuerySpec::collect(query))` with a [`QueryResult`]-shaped answer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if admission refuses the query (see [`PathService::submit_spec`]); use
-    /// [`PathService::try_submit`] to handle refusal as an error.
-    pub fn submit(&self, query: PathQuery) -> QueryHandle {
-        QueryHandle {
-            inner: self.submit_spec(QuerySpec::collect(query)),
-        }
-    }
-
-    /// Fallible twin of [`PathService::submit`]: refuses the query with an
-    /// [`AdmissionError`] instead of panicking.
-    pub fn try_submit(&self, query: PathQuery) -> Result<QueryHandle, AdmissionError> {
-        self.try_submit_spec(QuerySpec::collect(query))
-            .map(|inner| QueryHandle { inner })
-    }
-
     /// Applies a batch of graph updates (edge insertions/deletions) by publishing a new
-    /// [`Epoch`]; returns a handle that is already complete when this call returns.
+    /// [`Epoch`]; returns a handle that is already fulfilled when this call returns, or
+    /// the reason the batch was not acknowledged.
     ///
     /// Publication is synchronous and barrier-free: the new tip is built and swapped in
     /// under the admission lock, so queries submitted before this call keep their pinned
@@ -1194,24 +1069,6 @@ impl PathService {
     /// Results are exactly those of an offline engine over the corresponding snapshot:
     /// the update path changes *which snapshot* a query sees (by admission order), never
     /// *what* a given snapshot returns.
-    ///
-    /// A poisoned admission lock or a durability failure means the batch was *not*
-    /// acknowledged: the returned handle is *abandoned* — [`UpdateHandle::wait_result`]
-    /// reports [`Abandoned`] — instead of propagating a panic into this caller. Use
-    /// [`PathService::try_update`] to observe the refusal as an [`AdmissionError`].
-    pub fn update(&self, updates: impl Into<Vec<GraphUpdate>>) -> UpdateHandle {
-        match self.try_update(updates) {
-            Ok(handle) => handle,
-            Err(_) => {
-                let slot = Arc::new(Slot::default());
-                slot.abandon();
-                UpdateHandle { slot }
-            }
-        }
-    }
-
-    /// Fallible twin of [`PathService::update`]: refuses the batch with an
-    /// [`AdmissionError`] when it cannot be acknowledged.
     ///
     /// [`AdmissionError::Poisoned`] covers both a poisoned admission lock and a durable
     /// store that failed a write or fsync: in either case nothing past the last
@@ -1275,8 +1132,8 @@ impl PathService {
                 return Err(AdmissionError::Poisoned);
             }
         }
-        // Record before fulfilling: a caller returning from `wait()` may immediately
-        // snapshot `PathService::stats()` and must see this update counted.
+        // Record before fulfilling: a caller returning from `wait_result()` may
+        // immediately snapshot `PathService::stats()` and must see this update counted.
         let slot = Arc::new(Slot::default());
         {
             let mut stats = self.stats.lock().unwrap();
@@ -1288,38 +1145,6 @@ impl PathService {
         }
         slot.fulfill(summary);
         Ok(UpdateHandle { slot })
-    }
-
-    /// Submits a sequence of queries back to back, returning one handle per query.
-    pub fn submit_all(&self, queries: impl IntoIterator<Item = PathQuery>) -> Vec<QueryHandle> {
-        queries.into_iter().map(|q| self.submit(q)).collect()
-    }
-
-    /// Submits a sequence of typed specs back to back, returning one handle per spec.
-    pub fn submit_specs(&self, specs: impl IntoIterator<Item = QuerySpec>) -> Vec<SpecHandle> {
-        specs.into_iter().map(|s| self.submit_spec(s)).collect()
-    }
-
-    /// Replays an open-loop arrival schedule: sleeps until each event's offset from now,
-    /// then submits its query. Returns the handles in schedule order.
-    ///
-    /// Offsets are relative to the call, so a schedule generated by the workload crate's
-    /// arrival process replays with its intended inter-arrival gaps.
-    pub fn replay(
-        &self,
-        schedule: impl IntoIterator<Item = (Duration, PathQuery)>,
-    ) -> Vec<QueryHandle> {
-        let start = Instant::now();
-        schedule
-            .into_iter()
-            .map(|(offset, query)| {
-                let wait = offset.saturating_sub(start.elapsed());
-                if !wait.is_zero() {
-                    std::thread::sleep(wait);
-                }
-                self.submit(query)
-            })
-            .collect()
     }
 
     /// A snapshot of the aggregate service statistics so far.
@@ -1418,6 +1243,7 @@ impl Drop for PathService {
 mod tests {
     use super::*;
     use hcsp_core::BatchEngine;
+    use hcsp_core::PathSet;
     use hcsp_graph::generators::regular::{complete, grid};
     use hcsp_graph::VertexId;
 
@@ -1436,6 +1262,39 @@ mod tests {
         counts
     }
 
+    /// An in-memory service with the default engine, policy and one worker.
+    fn start(graph: DiGraph) -> PathService {
+        PathService::builder().start(graph).unwrap()
+    }
+
+    /// Admits `query` in `Collect` mode.
+    fn admit(service: &PathService, query: PathQuery) -> SpecHandle {
+        service.try_submit_spec(QuerySpec::collect(query)).unwrap()
+    }
+
+    /// Admits `queries` back to back, one handle each.
+    fn admit_all(
+        service: &PathService,
+        queries: impl IntoIterator<Item = PathQuery>,
+    ) -> Vec<SpecHandle> {
+        queries.into_iter().map(|q| admit(service, q)).collect()
+    }
+
+    /// Applies `updates` and returns the acknowledged summary.
+    fn apply(service: &PathService, updates: Vec<GraphUpdate>) -> UpdateSummary {
+        service.try_update(updates).unwrap().wait_result().unwrap()
+    }
+
+    /// The paths of a `Collect`-mode answer.
+    fn paths(handle: SpecHandle) -> PathSet {
+        handle.wait_result().unwrap().response.into_paths().unwrap()
+    }
+
+    /// Whether the value (or the abandonment) is already decided, without claiming it.
+    fn is_decided<T>(handle: &Handle<T>) -> bool {
+        !matches!(*handle.slot.state.lock().unwrap(), SlotState::Pending)
+    }
+
     #[test]
     fn served_results_match_offline_batch_run() {
         let graph = grid(4, 4);
@@ -1449,11 +1308,11 @@ mod tests {
             ))
             .start(graph)
             .unwrap();
-        let handles = service.submit_all(queries.clone());
+        let handles = admit_all(&service, queries.clone());
         for (handle, (query, expected)) in handles.into_iter().zip(queries.iter().zip(&expected)) {
-            let result = handle.wait();
-            assert_eq!(result.paths.len() as u64, *expected, "{query}");
-            for p in result.paths.iter() {
+            let result = paths(handle);
+            assert_eq!(result.len() as u64, *expected, "{query}");
+            for p in result.iter() {
                 assert_eq!(p[0], query.source);
                 assert_eq!(*p.last().unwrap(), query.target);
             }
@@ -1473,11 +1332,8 @@ mod tests {
             .policy(BatchPolicy::immediate())
             .start(graph)
             .unwrap();
-        let handles = service.submit_all(queries.clone());
-        let counts: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.wait().paths.len() as u64)
-            .collect();
+        let handles = admit_all(&service, queries.clone());
+        let counts: Vec<u64> = handles.into_iter().map(|h| paths(h).len() as u64).collect();
         assert_eq!(counts, expected);
 
         let stats = service.shutdown();
@@ -1494,9 +1350,9 @@ mod tests {
             .policy(BatchPolicy::by_size(2, Duration::from_secs(30)))
             .start(graph)
             .unwrap();
-        let handles = service.submit_all(grid_queries().into_iter().take(4));
+        let handles = admit_all(&service, grid_queries().into_iter().take(4));
         for handle in handles {
-            let result = handle.wait();
+            let result = handle.wait_result().unwrap();
             assert!(result.batch_size <= 2);
         }
         let stats = service.shutdown();
@@ -1516,11 +1372,8 @@ mod tests {
             .policy(BatchPolicy::by_size(3, Duration::from_millis(50)))
             .start(graph)
             .unwrap();
-        let handles = service.submit_all(queries);
-        let counts: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.wait().paths.len() as u64)
-            .collect();
+        let handles = admit_all(&service, queries);
+        let counts: Vec<u64> = handles.into_iter().map(|h| paths(h).len() as u64).collect();
         assert_eq!(counts, expected);
         let stats = service.shutdown();
         assert_eq!(stats.num_queries, 12);
@@ -1533,37 +1386,14 @@ mod tests {
             .policy(BatchPolicy::by_size(64, Duration::from_millis(500)))
             .start(graph)
             .unwrap();
-        let handles = service.submit_all((0..8).map(|i| PathQuery::new(i % 4, 4u32, 3)));
+        let handles = admit_all(&service, (0..8).map(|i| PathQuery::new(i % 4, 4u32, 3)));
         // Shut down immediately: every already-submitted query must still be answered.
         let stats = service.shutdown();
         assert_eq!(stats.num_queries, 8);
         for handle in handles {
-            assert!(handle.is_ready());
-            assert!(!handle.wait().paths.is_empty());
+            assert!(is_decided(&handle));
+            assert!(!paths(handle).is_empty());
         }
-    }
-
-    #[test]
-    fn replay_submits_in_schedule_order() {
-        let graph = complete(5);
-        let service = PathService::start(graph);
-        let schedule = vec![
-            (Duration::ZERO, PathQuery::new(0u32, 4u32, 2)),
-            (Duration::from_millis(1), PathQuery::new(1u32, 4u32, 2)),
-            (Duration::from_millis(2), PathQuery::new(2u32, 4u32, 3)),
-        ];
-        let handles = service.replay(schedule);
-        assert_eq!(handles.len(), 3);
-        for handle in handles {
-            let result = handle.wait();
-            assert!(result
-                .paths
-                .iter()
-                .all(|p| *p.last().unwrap() == VertexId(4)));
-        }
-        assert!(service.uptime() > Duration::ZERO);
-        assert_eq!(service.stats().num_queries, 3);
-        drop(service);
     }
 
     #[test]
@@ -1577,24 +1407,30 @@ mod tests {
             .policy(BatchPolicy::by_size(64, Duration::from_secs(30)))
             .start(graph)
             .unwrap();
-        let before = service.submit(q);
-        let update = service.update(vec![
-            GraphUpdate::insert(0u32, 2u32),
-            GraphUpdate::insert(2u32, 3u32),
-        ]);
-        let after = service.submit(q);
+        let before = admit(&service, q);
+        let update = service
+            .try_update(vec![
+                GraphUpdate::insert(0u32, 2u32),
+                GraphUpdate::insert(2u32, 3u32),
+            ])
+            .unwrap();
+        let after = admit(&service, q);
         // Shutdown flushes the (30 s) window holding `after`; the window holding
         // `before` must already have been split off by the epoch boundary.
         let stats = service.shutdown();
 
-        let before = before.wait();
-        assert_eq!(before.paths.len(), 1, "pre-update snapshot");
+        let before = before.wait_result().unwrap();
+        assert_eq!(
+            before.response.paths().unwrap().len(),
+            1,
+            "pre-update snapshot"
+        );
         assert_eq!(
             before.batch_size, 1,
             "the epoch change must have closed the first window before `after` joined it"
         );
-        assert_eq!(after.wait().paths.len(), 2, "post-update snapshot");
-        assert_eq!(update.wait().applied, 2);
+        assert_eq!(paths(after).len(), 2, "post-update snapshot");
+        assert_eq!(update.wait_result().unwrap().applied, 2);
         assert_eq!(stats.update_batches, 1);
         assert_eq!(stats.updates_applied, 2);
         assert_eq!(stats.epochs_published, 1);
@@ -1611,17 +1447,18 @@ mod tests {
             .unwrap();
         // Warm all workers on the old graph, then update, then hammer again: whichever
         // worker picks a post-update query must advance its engine to the new epoch.
-        for handle in service.submit_all(std::iter::repeat_n(q, 8)) {
-            assert_eq!(handle.wait().paths.len(), 1);
+        for handle in admit_all(&service, std::iter::repeat_n(q, 8)) {
+            assert_eq!(paths(handle).len(), 1);
         }
-        service
-            .update(vec![
+        apply(
+            &service,
+            vec![
                 GraphUpdate::insert(0u32, 2u32),
                 GraphUpdate::insert(2u32, 3u32),
-            ])
-            .wait();
-        for handle in service.submit_all(std::iter::repeat_n(q, 8)) {
-            assert_eq!(handle.wait().paths.len(), 2);
+            ],
+        );
+        for handle in admit_all(&service, std::iter::repeat_n(q, 8)) {
+            assert_eq!(paths(handle).len(), 2);
         }
         let stats = service.shutdown();
         assert_eq!(stats.update_batches, 1, "one update however many workers");
@@ -1637,15 +1474,15 @@ mod tests {
             .start(graph.clone())
             .unwrap();
         let expected_before = offline_counts(&graph, &[q])[0];
-        assert_eq!(service.submit(q).wait().paths.len() as u64, expected_before);
+        assert_eq!(paths(admit(&service, q)).len() as u64, expected_before);
 
         let mut delta = hcsp_graph::DeltaGraph::new(graph);
         assert!(delta.delete_edge(VertexId(0), VertexId(1)));
-        let summary = service.update(vec![GraphUpdate::delete(0u32, 1u32)]).wait();
+        let summary = apply(&service, vec![GraphUpdate::delete(0u32, 1u32)]);
         assert_eq!(summary.applied, 1);
         let expected_after = offline_counts(&delta.compact(), &[q])[0];
         assert!(expected_after < expected_before);
-        assert_eq!(service.submit(q).wait().paths.len() as u64, expected_after);
+        assert_eq!(paths(admit(&service, q)).len() as u64, expected_after);
         service.shutdown();
     }
 
@@ -1656,21 +1493,23 @@ mod tests {
             .policy(BatchPolicy::immediate())
             .start(graph)
             .unwrap();
-        service.update(vec![GraphUpdate::insert(1u32, 2u32)]).wait();
+        apply(&service, vec![GraphUpdate::insert(1u32, 2u32)]);
         // Vertex 2 did not exist at start; after the update it is addressable.
-        let result = service.submit(PathQuery::new(0u32, 2u32, 2)).wait();
-        assert_eq!(result.paths.len(), 1);
+        let result = paths(admit(&service, PathQuery::new(0u32, 2u32, 2)));
+        assert_eq!(result.len(), 1);
         service.shutdown();
     }
 
     #[test]
     fn noop_update_completes_with_zero_applied() {
-        let service = PathService::start(complete(3));
-        let handle = service.update(Vec::new());
-        let summary = handle.wait();
+        let service = start(complete(3));
+        let handle = service.try_update(Vec::new()).unwrap();
+        let summary = handle.wait_result().unwrap();
         assert_eq!(summary, UpdateSummary::default());
-        let handle = service.update(vec![GraphUpdate::insert(0u32, 1u32)]);
-        assert_eq!(handle.wait().ignored, 1);
+        let handle = service
+            .try_update(vec![GraphUpdate::insert(0u32, 1u32)])
+            .unwrap();
+        assert_eq!(handle.wait_result().unwrap().ignored, 1);
         let stats = service.stats();
         assert_eq!(stats.update_batches, 2);
         assert_eq!(stats.epochs_published, 0, "no-op updates publish no epoch");
@@ -1685,16 +1524,18 @@ mod tests {
             .policy(BatchPolicy::by_size(64, Duration::from_millis(500)))
             .start(graph)
             .unwrap();
-        let query = service.submit(PathQuery::new(0u32, 3u32, 2));
-        let update = service.update(vec![GraphUpdate::delete(0u32, 3u32)]);
+        let query = admit(&service, PathQuery::new(0u32, 3u32, 2));
+        let update = service
+            .try_update(vec![GraphUpdate::delete(0u32, 3u32)])
+            .unwrap();
         // Publication is synchronous: the handle is ready before shutdown.
-        assert!(update.is_ready());
+        assert!(is_decided(&update));
         let stats = service.shutdown();
         assert_eq!(stats.update_batches, 1);
-        assert_eq!(update.wait().applied, 1);
+        assert_eq!(update.wait_result().unwrap().applied, 1);
         // The query pinned the pre-update epoch: old snapshot (direct edge intact).
         assert!(
-            query.wait().paths.iter().any(|p| p.len() == 2),
+            paths(query).iter().any(|p| p.len() == 2),
             "direct 0 -> 3 path must exist pre-update"
         );
     }
@@ -1723,9 +1564,12 @@ mod tests {
             ))
             .start(graph)
             .unwrap();
-        let handles = service.submit_specs(specs.clone());
+        let handles: Vec<SpecHandle> = specs
+            .iter()
+            .map(|spec| service.try_submit_spec(*spec).unwrap())
+            .collect();
         for ((handle, spec), expected) in handles.into_iter().zip(&specs).zip(&expected.responses) {
-            let result = handle.wait();
+            let result = handle.wait_result().unwrap();
             assert_eq!(&result.response, expected, "{spec}");
             match spec.mode {
                 ResultMode::Exists => assert!(matches!(
@@ -1794,24 +1638,26 @@ mod tests {
             .start(graph.clone())
             .unwrap();
 
-        let pinned = service.submit(q);
-        let update = service.update(vec![GraphUpdate::delete(0u32, 1u32)]);
+        let pinned = admit(&service, q);
+        let update = service
+            .try_update(vec![GraphUpdate::delete(0u32, 1u32)])
+            .unwrap();
         // The update completed synchronously — it did not wait for the open window...
-        let summary = update.wait();
+        let summary = update.wait_result().unwrap();
         assert_eq!(summary.applied, 1);
         // ...and it did not close the window either: the pinned query is still batching.
         assert!(
-            !pinned.is_ready(),
+            !is_decided(&pinned),
             "a (no-op for readers) publish must not flush the open admission window"
         );
         assert_eq!(service.stats().epochs_published, 1);
 
         // A post-update submission pins the new epoch and thereby splits the window,
         // releasing the pinned batch to execute against its old snapshot.
-        let after = service.submit(q);
-        let pinned = pinned.wait();
+        let after = admit(&service, q);
+        let pinned = pinned.wait_result().unwrap();
         assert_eq!(
-            pinned.paths.len() as u64,
+            pinned.response.paths().unwrap().len() as u64,
             expected_before,
             "pinned snapshot"
         );
@@ -1820,7 +1666,7 @@ mod tests {
         let mut delta = hcsp_graph::DeltaGraph::new(graph);
         assert!(delta.delete_edge(VertexId(0), VertexId(1)));
         let expected_after = offline_counts(&delta.compact(), &[q])[0];
-        assert_eq!(after.wait().paths.len() as u64, expected_after);
+        assert_eq!(paths(after).len() as u64, expected_after);
 
         let stats = service.shutdown();
         assert!(
@@ -1839,22 +1685,24 @@ mod tests {
             .policy(BatchPolicy::by_size(64, Duration::from_secs(30)))
             .start(graph)
             .unwrap();
-        let before = service.submit(q);
-        let u1 = service.update(vec![GraphUpdate::insert(0u32, 2u32)]);
-        let u2 = service.update(vec![GraphUpdate::insert(2u32, 3u32)]);
-        let u3 = service.update(vec![GraphUpdate::delete(0u32, 1u32)]);
-        let after = service.submit(q);
+        let before = admit(&service, q);
+        let u1 = service
+            .try_update(vec![GraphUpdate::insert(0u32, 2u32)])
+            .unwrap();
+        let u2 = service
+            .try_update(vec![GraphUpdate::insert(2u32, 3u32)])
+            .unwrap();
+        let u3 = service
+            .try_update(vec![GraphUpdate::delete(0u32, 1u32)])
+            .unwrap();
+        let after = admit(&service, q);
         let stats = service.shutdown();
 
-        assert_eq!(before.wait().paths.len(), 1, "pre-update snapshot");
-        assert_eq!(
-            after.wait().paths.len(),
-            1,
-            "post-update snapshot: 0->2->3 only"
-        );
-        assert_eq!(u1.wait().applied, 1);
-        assert_eq!(u2.wait().applied, 1);
-        assert_eq!(u3.wait().applied, 1);
+        assert_eq!(paths(before).len(), 1, "pre-update snapshot");
+        assert_eq!(paths(after).len(), 1, "post-update snapshot: 0->2->3 only");
+        assert_eq!(u1.wait_result().unwrap().applied, 1);
+        assert_eq!(u2.wait_result().unwrap().applied, 1);
+        assert_eq!(u3.wait_result().unwrap().applied, 1);
         assert_eq!(stats.update_calls, 3);
         assert_eq!(stats.update_batches, 3, "synchronous publish: one per call");
         assert_eq!(stats.updates_applied, 3);
@@ -1867,63 +1715,45 @@ mod tests {
         let handle = SpecHandle {
             slot: Arc::clone(&slot),
         };
-        assert!(!handle.is_ready());
+        assert!(!is_decided(&handle));
         slot.abandon();
-        assert!(handle.is_ready());
+        assert!(is_decided(&handle));
         assert_eq!(handle.wait_result().unwrap_err(), Abandoned);
-
-        let slot = Arc::new(Slot::default());
-        let handle = SpecHandle {
-            slot: Arc::clone(&slot),
-        };
-        slot.abandon();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
-        assert!(outcome.is_err(), "wait() must surface the abandonment");
 
         let slot = Arc::new(Slot::default());
         let handle = UpdateHandle {
             slot: Arc::clone(&slot),
         };
-        assert!(!handle.is_ready());
+        assert!(!is_decided(&handle));
         slot.abandon();
-        assert!(handle.is_ready());
+        assert!(is_decided(&handle));
         assert_eq!(handle.wait_result().unwrap_err(), Abandoned);
         assert!(!Abandoned.to_string().is_empty());
-    }
 
-    #[test]
-    fn try_wait_returns_the_handle_back_while_pending() {
+        // A fulfilled slot hands its value over, once decided, not before.
         let slot = Arc::new(Slot::default());
         let handle = SpecHandle {
             slot: Arc::clone(&slot),
         };
-        let handle = match handle.try_wait() {
-            Err(handle) => handle,
-            Ok(_) => panic!("slot is still pending"),
-        };
+        assert!(!is_decided(&handle));
         slot.fulfill(SpecResult {
             response: QueryResponse::Count(7),
             queue_wait: Duration::ZERO,
             batch_size: 1,
         });
-        match handle.try_wait() {
-            Ok(Ok(result)) => assert_eq!(result.response, QueryResponse::Count(7)),
-            other => panic!("expected the fulfilled result, got {other:?}"),
-        }
+        assert!(is_decided(&handle));
+        assert_eq!(
+            handle.wait_result().unwrap().response,
+            QueryResponse::Count(7)
+        );
 
         let slot = Arc::new(Slot::default());
         let handle = UpdateHandle {
             slot: Arc::clone(&slot),
         };
-        let handle = match handle.try_wait() {
-            Err(handle) => handle,
-            Ok(_) => panic!("slot is still pending"),
-        };
+        assert!(!is_decided(&handle));
         slot.fulfill(UpdateSummary::default());
-        match handle.try_wait() {
-            Ok(Ok(summary)) => assert_eq!(summary, UpdateSummary::default()),
-            other => panic!("expected the fulfilled summary, got {other:?}"),
-        }
+        assert_eq!(handle.wait_result(), Ok(UpdateSummary::default()));
     }
 
     #[test]
@@ -1933,12 +1763,14 @@ mod tests {
             .start(complete(4))
             .unwrap();
         let result = service
-            .submit(PathQuery::new(0u32, 3u32, 2))
+            .try_submit_spec(QuerySpec::collect(PathQuery::new(0u32, 3u32, 2)))
+            .unwrap()
             .wait_result()
             .expect("service is healthy");
-        assert!(!result.paths.is_empty());
+        assert!(!result.response.paths().unwrap().is_empty());
         let summary = service
-            .update(vec![GraphUpdate::delete(0u32, 3u32)])
+            .try_update(vec![GraphUpdate::delete(0u32, 3u32)])
+            .unwrap()
             .wait_result()
             .expect("service is healthy");
         assert_eq!(summary.applied, 1);
@@ -1970,35 +1802,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "endpoints out of range")]
-    fn out_of_range_query_panics_at_submit() {
-        let service = PathService::start(complete(4));
-        let _ = service.submit(PathQuery::new(99u32, 1u32, 3));
-    }
-
-    #[test]
     fn invalid_submission_no_longer_poisons_the_service() {
-        let service = PathService::start(complete(4));
-        // The panicking wrapper validates via the fallible path and panics only after
-        // the admission lock is released, so one caller's bad query cannot take the
-        // whole service down with a poisoned lock.
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.submit(PathQuery::new(99u32, 1u32, 3))
-        }));
-        assert!(panicked.is_err());
+        let service = start(complete(4));
+        // Admission validates under the admission lock and refuses without panicking,
+        // so one caller's bad query cannot take the service down with a poisoned lock.
+        let refused = service.try_submit_spec(QuerySpec::collect(PathQuery::new(99u32, 1u32, 3)));
+        assert!(matches!(
+            refused,
+            Err(AdmissionError::InvalidEndpoint {
+                num_vertices: 4,
+                ..
+            })
+        ));
         // Both updates and queries keep flowing afterwards.
-        let summary = service.update(vec![GraphUpdate::insert(0u32, 1u32)]).wait();
+        let summary = apply(&service, vec![GraphUpdate::insert(0u32, 1u32)]);
         assert_eq!(summary.ignored, 1, "the edge already exists");
-        let result = service.submit(PathQuery::new(0u32, 3u32, 2)).wait();
-        assert!(!result.paths.is_empty());
+        assert!(!paths(admit(&service, PathQuery::new(0u32, 3u32, 2))).is_empty());
+        assert_eq!(
+            service.stats().num_queries,
+            1,
+            "only the admitted query is counted"
+        );
         service.shutdown();
     }
 
     #[test]
     fn try_submit_reports_invalid_endpoints_instead_of_panicking() {
-        let service = PathService::start(complete(4));
+        let service = start(complete(4));
         let err = service
-            .try_submit(PathQuery::new(99u32, 1u32, 3))
+            .try_submit_spec(QuerySpec::collect(PathQuery::new(99u32, 1u32, 3)))
             .unwrap_err();
         assert_eq!(
             err,
@@ -2009,14 +1841,14 @@ mod tests {
         );
         assert!(err.to_string().contains("endpoints out of range"));
         // A valid query right after still serves.
-        let handle = service.try_submit(PathQuery::new(0u32, 3u32, 2)).unwrap();
-        assert!(!handle.wait().paths.is_empty());
+        let handle = admit(&service, PathQuery::new(0u32, 3u32, 2));
+        assert!(!paths(handle).is_empty());
         service.shutdown();
     }
 
     #[test]
     fn try_submit_spec_validates_against_the_grown_vertex_space() {
-        let service = PathService::start(DiGraph::from_edge_list(2, &[(0, 1)]).unwrap());
+        let service = start(DiGraph::from_edge_list(2, &[(0, 1)]).unwrap());
         assert!(matches!(
             service.try_submit_spec(QuerySpec::exists(PathQuery::new(0u32, 4u32, 3))),
             Err(AdmissionError::InvalidEndpoint {
@@ -2025,27 +1857,27 @@ mod tests {
             })
         ));
         // An insert growing the vertex space makes the same spec admissible.
-        service
-            .try_update(vec![GraphUpdate::insert(1u32, 4u32)])
-            .unwrap()
-            .wait();
+        apply(&service, vec![GraphUpdate::insert(1u32, 4u32)]);
         let handle = service
             .try_submit_spec(QuerySpec::exists(PathQuery::new(0u32, 4u32, 3)))
             .unwrap();
-        assert_eq!(handle.wait().response, QueryResponse::Exists(true));
+        assert_eq!(
+            handle.wait_result().unwrap().response,
+            QueryResponse::Exists(true)
+        );
         service.shutdown();
     }
 
     #[test]
     fn try_update_succeeds_and_reports_the_summary() {
-        let service = PathService::start(complete(4));
+        let service = start(complete(4));
         let handle = service
             .try_update(vec![GraphUpdate::delete(0u32, 3u32)])
             .unwrap();
-        assert_eq!(handle.wait().applied, 1);
+        assert_eq!(handle.wait_result().unwrap().applied, 1);
         // An empty batch is trivially acknowledged without publishing anything.
         let handle = service.try_update(Vec::new()).unwrap();
-        assert_eq!(handle.wait().applied, 0);
+        assert_eq!(handle.wait_result().unwrap().applied, 0);
         assert_eq!(service.epoch_id(), 1);
         service.shutdown();
     }
@@ -2060,8 +1892,8 @@ mod tests {
             .start(complete(4))
             .unwrap();
         // Sequential updates cannot share a window: one group fsync each.
-        service.update(vec![GraphUpdate::delete(0u32, 3u32)]).wait();
-        service.update(vec![GraphUpdate::insert(0u32, 3u32)]).wait();
+        apply(&service, vec![GraphUpdate::delete(0u32, 3u32)]);
+        apply(&service, vec![GraphUpdate::insert(0u32, 3u32)]);
         let stats = service.stats();
         assert_eq!(stats.update_batches, 2);
         assert_eq!(stats.group_commit_batches, 2);
@@ -2092,7 +1924,7 @@ mod tests {
                         } else {
                             GraphUpdate::insert(u, v)
                         };
-                        service.try_update(vec![update]).unwrap().wait();
+                        apply(&service, vec![update]);
                     }
                 })
             })
@@ -2117,7 +1949,7 @@ mod tests {
             .durability(durable(fs.as_vfs()).fsync(FsyncPolicy::EveryN(4)))
             .start(complete(4))
             .unwrap();
-        service.update(vec![GraphUpdate::delete(0u32, 3u32)]).wait();
+        apply(&service, vec![GraphUpdate::delete(0u32, 3u32)]);
         assert_eq!(service.stats().group_commit_batches, 0);
         service.shutdown();
     }
@@ -2125,10 +1957,8 @@ mod tests {
     #[test]
     fn dropped_submission_abandons_its_handle_instead_of_hanging() {
         let slot = Arc::new(Slot::default());
-        let handle = QueryHandle {
-            inner: SpecHandle {
-                slot: Arc::clone(&slot),
-            },
+        let handle = SpecHandle {
+            slot: Arc::clone(&slot),
         };
         let submission = Submission {
             spec: QuerySpec::collect(PathQuery::new(0u32, 1u32, 2)),
@@ -2136,12 +1966,11 @@ mod tests {
             epoch: EpochPublisher::new(DiGraph::from_edge_list(2, &[(0, 1)]).unwrap()).tip(),
             slot,
         };
-        assert!(!handle.is_ready());
+        assert!(!is_decided(&handle));
         // A worker panic unwinds the batch, dropping its submissions unfulfilled.
         drop(submission);
-        assert!(handle.is_ready());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
-        assert!(outcome.is_err(), "wait() must surface the abandonment");
+        assert!(is_decided(&handle));
+        assert_eq!(handle.wait_result().unwrap_err(), Abandoned);
     }
 
     #[test]
@@ -2154,11 +1983,8 @@ mod tests {
             .policy(BatchPolicy::immediate())
             .start(graph)
             .unwrap();
-        let handles = service.submit_all(queries.clone());
-        let counts: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.wait().paths.len() as u64)
-            .collect();
+        let handles = admit_all(&service, queries.clone());
+        let counts: Vec<u64> = handles.into_iter().map(|h| paths(h).len() as u64).collect();
         assert_eq!(counts, expected);
         service.shutdown();
     }
@@ -2192,9 +2018,9 @@ mod tests {
             service.recovery().is_none(),
             "a fresh store recovered nothing"
         );
-        service.update(vec![GraphUpdate::delete(0u32, 1u32)]).wait();
-        service.update(vec![GraphUpdate::insert(0u32, 5u32)]).wait();
-        let expected = service.submit(q).wait().paths;
+        apply(&service, vec![GraphUpdate::delete(0u32, 1u32)]);
+        apply(&service, vec![GraphUpdate::insert(0u32, 5u32)]);
+        let expected = paths(admit(&service, q));
         service.shutdown();
 
         let service = PathService::builder()
@@ -2205,7 +2031,7 @@ mod tests {
         assert_eq!(report.replayed_batches, 2);
         assert_eq!(report.replayed_updates, 2);
         assert!(report.torn_tail.is_none());
-        assert_eq!(service.submit(q).wait().paths, expected);
+        assert_eq!(paths(admit(&service, q)), expected);
         service.shutdown();
 
         // A second durable start on the same directory must refuse, not wipe it.
@@ -2227,13 +2053,13 @@ mod tests {
             .durability(durable(fs.as_vfs()))
             .start(DiGraph::from_edge_list(4, &[(0, 1), (1, 3)]).unwrap())
             .unwrap();
-        service.update(vec![GraphUpdate::insert(0u32, 2u32)]).wait();
-        service.update(vec![GraphUpdate::insert(2u32, 3u32)]).wait();
+        apply(&service, vec![GraphUpdate::insert(0u32, 2u32)]);
+        apply(&service, vec![GraphUpdate::insert(2u32, 3u32)]);
         assert!(service.checkpoint().unwrap());
         assert_eq!(service.checkpoints(), 1);
         assert!(!service.checkpoint().unwrap(), "nothing new to checkpoint");
-        service.update(vec![GraphUpdate::delete(0u32, 1u32)]).wait();
-        let expected = service.submit(q).wait().paths;
+        apply(&service, vec![GraphUpdate::delete(0u32, 1u32)]);
+        let expected = paths(admit(&service, q));
         service.shutdown();
 
         let service = reopen(fs.as_vfs());
@@ -2246,7 +2072,7 @@ mod tests {
             report.replayed_batches, 1,
             "only the post-checkpoint tail replays"
         );
-        assert_eq!(service.submit(q).wait().paths, expected);
+        assert_eq!(paths(admit(&service, q)), expected);
         service.shutdown();
     }
 
@@ -2263,20 +2089,20 @@ mod tests {
             )
             .start(complete(4))
             .unwrap();
-        service.update(vec![GraphUpdate::delete(0u32, 3u32)]).wait();
+        apply(&service, vec![GraphUpdate::delete(0u32, 3u32)]);
         let deadline = Instant::now() + Duration::from_secs(10);
         while service.checkpoints() == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(service.checkpoints() >= 1, "the compactor never woke up");
         // Queries and further updates keep working around the background checkpoints.
-        service.update(vec![GraphUpdate::insert(0u32, 3u32)]).wait();
-        let expected = service.submit(PathQuery::new(0u32, 3u32, 2)).wait().paths;
+        apply(&service, vec![GraphUpdate::insert(0u32, 3u32)]);
+        let expected = paths(admit(&service, PathQuery::new(0u32, 3u32, 2)));
         service.shutdown();
 
         let service = reopen(fs.as_vfs());
         assert_eq!(
-            service.submit(PathQuery::new(0u32, 3u32, 2)).wait().paths,
+            paths(admit(&service, PathQuery::new(0u32, 3u32, 2))),
             expected
         );
         service.shutdown();
@@ -2294,15 +2120,16 @@ mod tests {
             .durability(durable(fs.as_vfs()))
             .start(DiGraph::from_edge_list(4, &[(0, 1), (1, 3)]).unwrap())
             .unwrap();
-        service.update(vec![GraphUpdate::insert(0u32, 2u32)]).wait();
+        apply(&service, vec![GraphUpdate::insert(0u32, 2u32)]);
 
         // Kill the *fsync* of the next append: the frame write (ops + 1) lands, the
         // sync (ops + 2) dies, so the publish fails after the bytes reached the file.
         fs.set_kill(KillPoint::Op(fs.ops() + 2));
-        let handle = service.update(vec![GraphUpdate::insert(2u32, 3u32)]);
-        assert_eq!(
-            handle.wait_result(),
-            Err(Abandoned),
+        assert!(
+            matches!(
+                service.try_update(vec![GraphUpdate::insert(2u32, 3u32)]),
+                Err(AdmissionError::Poisoned)
+            ),
             "the caller was never acked"
         );
         drop(service); // the final sync of shutdown fails on the dead fs; ignored
@@ -2315,8 +2142,8 @@ mod tests {
             2,
             "the logged-but-unacked batch replays"
         );
-        let result = service.submit(PathQuery::new(0u32, 3u32, 3)).wait();
-        assert_eq!(result.paths.len(), 2, "0→1→3 and the recovered 0→2→3");
+        let result = paths(admit(&service, PathQuery::new(0u32, 3u32, 3)));
+        assert_eq!(result.len(), 2, "0→1→3 and the recovered 0→2→3");
         service.shutdown();
     }
 
@@ -2333,26 +2160,25 @@ mod tests {
             .durability(durable(fs.as_vfs()))
             .start(DiGraph::from_edge_list(4, &[(0, 1), (1, 3)]).unwrap())
             .unwrap();
-        service.update(vec![GraphUpdate::insert(0u32, 2u32)]).wait();
+        apply(&service, vec![GraphUpdate::insert(0u32, 2u32)]);
 
         fs.set_kill(KillPoint::TransientWriteByte(fs.bytes_written() + 5));
-        let torn = service.update(vec![GraphUpdate::insert(2u32, 3u32)]);
-        assert_eq!(
-            torn.wait_result(),
-            Err(Abandoned),
+        assert!(
+            matches!(
+                service.try_update(vec![GraphUpdate::insert(2u32, 3u32)]),
+                Err(AdmissionError::Poisoned)
+            ),
             "the torn write is unacked"
         );
         // The filesystem recovered, but the store is latched: no further update may
         // be acknowledged on top of the torn tail.
-        let refused = service.update(vec![GraphUpdate::delete(0u32, 1u32)]);
-        assert_eq!(refused.wait_result(), Err(Abandoned));
+        assert!(matches!(
+            service.try_update(vec![GraphUpdate::delete(0u32, 1u32)]),
+            Err(AdmissionError::Poisoned)
+        ));
         // Reads keep serving the last acknowledged state.
-        let result = service.submit(PathQuery::new(0u32, 3u32, 3)).wait();
-        assert_eq!(
-            result.paths.len(),
-            1,
-            "only 0→1→3; neither failed update landed"
-        );
+        let result = paths(admit(&service, PathQuery::new(0u32, 3u32, 3)));
+        assert_eq!(result.len(), 1, "only 0→1→3; neither failed update landed");
         service.shutdown();
 
         // A restart truncates the torn tail and the service accepts updates again.
@@ -2360,9 +2186,9 @@ mod tests {
         let report = service.recovery().unwrap();
         assert_eq!(report.replayed_batches, 1, "the acked update survives");
         assert!(report.torn_tail.is_some());
-        service.update(vec![GraphUpdate::insert(2u32, 3u32)]).wait();
-        let result = service.submit(PathQuery::new(0u32, 3u32, 3)).wait();
-        assert_eq!(result.paths.len(), 2, "0→1→3 and the new 0→2→3");
+        apply(&service, vec![GraphUpdate::insert(2u32, 3u32)]);
+        let result = paths(admit(&service, PathQuery::new(0u32, 3u32, 3)));
+        assert_eq!(result.len(), 2, "0→1→3 and the new 0→2→3");
         service.shutdown();
     }
 
@@ -2373,8 +2199,8 @@ mod tests {
             .policy(BatchPolicy::by_size(2, Duration::from_millis(40)))
             .start(graph)
             .unwrap();
-        let a = service.submit(PathQuery::new(0u32, 3u32, 2));
-        let ra = a.wait();
+        let a = admit(&service, PathQuery::new(0u32, 3u32, 2));
+        let ra = a.wait_result().unwrap();
         // The lone query waited out (most of) the 40 ms window.
         assert!(ra.queue_wait >= Duration::from_millis(20));
         let stats = service.shutdown();

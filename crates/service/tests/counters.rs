@@ -10,7 +10,7 @@
 //! positive; timing-valued and scheduling-dependent ones are read and checked only for
 //! consistency.
 
-use hcsp_core::{BatchEngine, Engine, EpochPublisher, PathQuery};
+use hcsp_core::{BatchEngine, Engine, EpochPublisher, PathQuery, QuerySpec};
 use hcsp_graph::generators::regular::grid;
 use hcsp_graph::{DiGraph, GraphBuilder, GraphUpdate, VertexId};
 use hcsp_service::{BatchPolicy, DurabilityOptions, FsyncPolicy, PathService};
@@ -146,9 +146,17 @@ fn service_stats_move_in_a_live_durable_session() {
 
     // Warm the worker's index, delete under it, then query again: the worker advances
     // its engine across the epoch and the survivor scan spares the supported root.
-    assert!(!service.submit(q).wait().paths.is_empty());
-    service.update(delete_heavy_update()).wait();
-    assert!(!service.submit(q).wait().paths.is_empty());
+    let collect = |service: &PathService| {
+        let handle = service.try_submit_spec(QuerySpec::collect(q)).unwrap();
+        handle.wait_result().unwrap().response.into_paths().unwrap()
+    };
+    assert!(!collect(&service).is_empty());
+    service
+        .try_update(delete_heavy_update())
+        .unwrap()
+        .wait_result()
+        .unwrap();
+    assert!(!collect(&service).is_empty());
     let stats = service.shutdown();
 
     for (name, value) in [

@@ -22,7 +22,6 @@
 pub mod arrival;
 pub mod datasets;
 pub mod query_gen;
-pub mod query_io;
 pub mod recovery;
 pub mod spec_gen;
 pub mod update_stream;
@@ -30,7 +29,6 @@ pub mod update_stream;
 pub use arrival::ArrivalProcess;
 pub use datasets::{Dataset, DatasetScale};
 pub use query_gen::{random_query_set, similar_query_set, QuerySetSpec};
-pub use query_io::{read_queries, read_queries_file, write_queries, write_queries_file};
 pub use recovery::{recovery_workload, state_after, RecoveryWorkload, RecoveryWorkloadSpec};
 pub use spec_gen::{assign_modes, mixed_mode_query_set, ModeMix};
 pub use update_stream::{fold_updates, update_stream, StreamEvent, UpdateStreamSpec};

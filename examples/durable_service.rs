@@ -15,6 +15,19 @@
 use hcsp::prelude::*;
 use hcsp::workload::{Dataset, DatasetScale};
 
+/// How many paths the service answers for `query` (a `Collect`-mode request).
+fn count_paths(service: &PathService, query: PathQuery) -> usize {
+    let handle = service
+        .try_submit_spec(QuerySpec::collect(query))
+        .expect("query admitted");
+    let result = handle.wait_result().expect("query answered");
+    result
+        .response
+        .paths()
+        .expect("Collect mode answers with paths")
+        .len()
+}
+
 fn main() {
     let dir = std::env::temp_dir().join(format!("hcsp-durable-demo-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create demo directory");
@@ -34,7 +47,7 @@ fn main() {
         .durability(DurabilityOptions::directory(&dir))
         .start(graph.clone())
         .expect("create durable service");
-    let before = service.submit(probe).wait().paths.len();
+    let before = count_paths(&service, probe);
 
     // Mutate the graph: every batch is logged (fsync'd, `FsyncPolicy::Always` is the
     // default) before its UpdateHandle resolves.
@@ -46,9 +59,13 @@ fn main() {
         vec![GraphUpdate::delete(0u32, 170u32)],
         vec![GraphUpdate::insert(0u32, 170u32)],
     ] {
-        service.update(batch).wait();
+        service
+            .try_update(batch)
+            .expect("update acknowledged")
+            .wait_result()
+            .expect("update applied");
     }
-    let after = service.submit(probe).wait().paths.len();
+    let after = count_paths(&service, probe);
     println!("\npaths for {probe}: {before} before the updates, {after} after");
     drop(service); // "crash": no checkpoint was taken, the whole tail must replay
 
@@ -61,7 +78,7 @@ fn main() {
         "\nrestart #1: snapshot had {} batches, replayed {} batches / {} updates from {} log file(s)",
         report.snapshot_batches, report.replayed_batches, report.replayed_updates, report.wal_files
     );
-    let recovered = service.submit(probe).wait().paths.len();
+    let recovered = count_paths(&service, probe);
     assert_eq!(
         recovered, after,
         "recovery must serve the exact pre-crash graph"
@@ -81,7 +98,7 @@ fn main() {
         report.snapshot_batches, report.replayed_batches
     );
     assert_eq!(report.replayed_batches, 0);
-    assert_eq!(service.submit(probe).wait().paths.len(), after);
+    assert_eq!(count_paths(&service, probe), after);
     service.shutdown();
 
     std::fs::remove_dir_all(&dir).expect("clean up demo directory");

@@ -10,7 +10,7 @@
 
 use hcsp::prelude::*;
 use hcsp::workload::{similar_query_set, ArrivalProcess, Dataset, DatasetScale, QuerySetSpec};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     // A social-network analog and a similarity-heavy query stream: many users asking
@@ -37,8 +37,24 @@ fn main() {
             .policy(policy)
             .start(graph.clone())
             .unwrap();
-        let handles = service.replay(schedule.iter().cloned());
-        let total_paths: usize = handles.into_iter().map(|h| h.wait().paths.len()).sum();
+        // Replay the stream open-loop: sleep until each arrival, then submit.
+        let start = Instant::now();
+        let mut handles = Vec::with_capacity(schedule.len());
+        for &(offset, query) in &schedule {
+            std::thread::sleep(offset.saturating_sub(start.elapsed()));
+            handles.push(service.try_submit_spec(QuerySpec::collect(query)).unwrap());
+        }
+        let total_paths: usize = handles
+            .into_iter()
+            .map(|h| {
+                h.wait_result()
+                    .unwrap()
+                    .response
+                    .into_paths()
+                    .unwrap()
+                    .len()
+            })
+            .sum();
         let uptime = service.uptime();
         let stats = service.shutdown();
 

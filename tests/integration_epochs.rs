@@ -202,7 +202,7 @@ fn route_swap_updates_never_tear_under_concurrent_readers() {
         .start(graph)
         .unwrap();
 
-    let results: Vec<QueryResult> = std::thread::scope(|scope| {
+    let results: Vec<PathSet> = std::thread::scope(|scope| {
         let service = &service;
         let writer = scope.spawn(move || {
             for i in 0..swaps {
@@ -213,13 +213,15 @@ fn route_swap_updates_never_tear_under_concurrent_readers() {
                     (route_b, route_a)
                 };
                 let summary = service
-                    .update(vec![
+                    .try_update(vec![
                         GraphUpdate::Delete(gone[0], gone[1]),
                         GraphUpdate::Delete(gone[1], gone[2]),
                         GraphUpdate::Insert(fresh[0], fresh[1]),
                         GraphUpdate::Insert(fresh[1], fresh[2]),
                     ])
-                    .wait();
+                    .unwrap()
+                    .wait_result()
+                    .unwrap();
                 assert_eq!(summary.applied, 4, "swap {i} must fully apply");
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -227,16 +229,16 @@ fn route_swap_updates_never_tear_under_concurrent_readers() {
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 scope.spawn(move || {
-                    let handles: Vec<QueryHandle> = (0..60)
+                    let handles: Vec<SpecHandle> = (0..60)
                         .map(|_| {
                             std::thread::sleep(Duration::from_micros(100));
-                            service.submit(q)
+                            service.try_submit_spec(QuerySpec::collect(q)).unwrap()
                         })
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.wait())
-                        .collect::<Vec<QueryResult>>()
+                        .map(|h| h.wait_result().unwrap().response.into_paths().unwrap())
+                        .collect::<Vec<PathSet>>()
                 })
             })
             .collect();
@@ -248,13 +250,9 @@ fn route_swap_updates_never_tear_under_concurrent_readers() {
     });
 
     assert_eq!(results.len(), 120);
-    for result in &results {
-        assert_eq!(
-            result.paths.len(),
-            1,
-            "a torn route swap would yield 0 or 2 paths"
-        );
-        let path = result.paths.get(0);
+    for paths in &results {
+        assert_eq!(paths.len(), 1, "a torn route swap would yield 0 or 2 paths");
+        let path = paths.get(0);
         assert!(
             path == route_a.as_slice() || path == route_b.as_slice(),
             "unexpected route {path:?}"

@@ -28,7 +28,8 @@
 
 use hcsp::core::{Algorithm, BatchEngine};
 use hcsp::prelude::{
-    BatchPolicy, DiGraph, DurabilityOptions, FsyncPolicy, PathService, PathServiceBuilder,
+    BatchPolicy, DiGraph, DurabilityOptions, FsyncPolicy, GraphUpdate, PathQuery, PathService,
+    PathServiceBuilder, PathSet, QuerySpec,
 };
 use hcsp::storage::{CrashModel, FailpointFs, KillPoint};
 use hcsp::workload::{
@@ -39,6 +40,21 @@ use std::time::Duration;
 /// Explicit checkpoints after these acked-batch counts: the sweep thereby crosses every
 /// phase of a checkpoint (WAL rotation, snapshot write, manifest swap, GC) twice.
 const CHECKPOINT_AFTER: [usize; 2] = [2, 4];
+
+/// The full answer of `service` to `query`, in the service's path order.
+fn paths(service: &PathService, query: PathQuery) -> PathSet {
+    let handle = service.try_submit_spec(QuerySpec::collect(query)).unwrap();
+    handle.wait_result().unwrap().response.into_paths().unwrap()
+}
+
+/// Applies one update batch; panics unless it is acknowledged.
+fn acknowledge(service: &PathService, batch: &[GraphUpdate]) {
+    service
+        .try_update(batch.to_vec())
+        .unwrap()
+        .wait_result()
+        .unwrap();
+}
 
 fn seed() -> u64 {
     std::env::var("HCSP_RECOVERY_SEED")
@@ -126,7 +142,7 @@ fn drive(fs: &FailpointFs, fsync: FsyncPolicy, algorithm: Algorithm, sc: &Scenar
         checkpointed: 0,
     };
     for (i, batch) in sc.workload.batches.iter().enumerate() {
-        if service.update(batch.clone()).wait_result().is_err() {
+        if service.try_update(batch.clone()).is_err() {
             break;
         }
         log.acked = i + 1;
@@ -241,8 +257,8 @@ fn verify_recovery(
         .start(expected)
         .unwrap();
     for query in &sc.workload.queries {
-        let got = recovered.submit(*query).wait().paths;
-        let want = twin.submit(*query).wait().paths;
+        let got = paths(&recovered, *query);
+        let want = paths(&twin, *query);
         if got != want {
             fail(
                 &image,
@@ -386,14 +402,14 @@ fn all_five_algorithms_agree_after_recovery() {
             .start(sc.graph.clone())
             .expect("twin create");
         for (i, batch) in sc.workload.batches[..r].iter().enumerate() {
-            twin.update(batch.clone()).wait();
+            acknowledge(&twin, batch);
             if CHECKPOINT_AFTER.contains(&(i + 1)) {
                 twin.checkpoint().expect("twin checkpoint");
             }
         }
         for query in &sc.workload.queries {
-            let got = recovered.submit(*query).wait().paths;
-            let want = twin.submit(*query).wait().paths;
+            let got = paths(&recovered, *query);
+            let want = paths(&twin, *query);
             if got != want {
                 fail(&image, &case, &format!("answers diverge for {query}"));
             }
@@ -422,7 +438,7 @@ fn crash_with_background_compaction_active_recovers_every_acked_batch() {
         .start(sc.graph.clone())
         .expect("create");
     for batch in &sc.workload.batches {
-        service.update(batch.clone()).wait();
+        acknowledge(&service, batch);
     }
     // Snapshot the image mid-flight — the compactor may be between any two of its
     // operations right now, which is the point: `crash` is an any-moment power cut.
@@ -454,8 +470,8 @@ fn crash_with_background_compaction_active_recovers_every_acked_batch() {
         .start(expected)
         .unwrap();
     for query in &sc.workload.queries {
-        let got = recovered.submit(*query).wait().paths;
-        let want = twin.submit(*query).wait().paths;
+        let got = paths(&recovered, *query);
+        let want = paths(&twin, *query);
         if got != want {
             fail(&image, &case, &format!("answers diverge for {query}"));
         }

@@ -4,7 +4,7 @@
 //! `Collect`.
 
 use hcsp::prelude::*;
-use hcsp::service::{BatchPolicy, PathService};
+use hcsp::service::{BatchPolicy, PathService, SpecHandle};
 use hcsp::workload::{
     mixed_mode_query_set, similar_query_set, Dataset, DatasetScale, ModeMix, QuerySetSpec,
 };
@@ -192,9 +192,12 @@ fn mixed_mode_batches_are_lossless_through_the_service() {
             .workers(workers)
             .start(graph.clone())
             .unwrap();
-        let handles = service.submit_specs(specs.clone());
+        let handles: Vec<SpecHandle> = specs
+            .iter()
+            .map(|spec| service.try_submit_spec(*spec).unwrap())
+            .collect();
         for ((handle, spec), full) in handles.into_iter().zip(&specs).zip(&reference.paths) {
-            let result = handle.wait();
+            let result = handle.wait_result().unwrap();
             match spec.mode {
                 ResultMode::Exists => assert_eq!(
                     result.response,

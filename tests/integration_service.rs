@@ -4,10 +4,10 @@
 //! per-query execution.
 
 use hcsp::prelude::*;
-use hcsp::service::{BatchPolicy, PathService};
+use hcsp::service::{BatchPolicy, PathService, SpecHandle, SpecResult};
 use hcsp::workload::{similar_query_set, ArrivalProcess, Dataset, DatasetScale, QuerySetSpec};
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Canonical form of a path set: the sorted set of vertex-id sequences.
 fn canonical(paths: &PathSet) -> BTreeSet<Vec<u32>> {
@@ -24,6 +24,21 @@ fn service_workload() -> (DiGraph, Vec<PathQuery>) {
     let queries = similar_query_set(&graph, QuerySetSpec::new(24, 11).with_hops(3, 4), 0.5);
     assert!(!queries.is_empty());
     (graph, queries)
+}
+
+/// Admits every query in `Collect` mode, back to back.
+fn admit_all(service: &PathService, queries: &[PathQuery]) -> Vec<SpecHandle> {
+    queries
+        .iter()
+        .map(|&q| service.try_submit_spec(QuerySpec::collect(q)).unwrap())
+        .collect()
+}
+
+/// Waits for a `Collect` answer; returns it with its canonical path set.
+fn collected(handle: SpecHandle) -> (SpecResult, BTreeSet<Vec<u32>>) {
+    let result = handle.wait_result().unwrap();
+    let paths = canonical(result.response.paths().unwrap());
+    (result, paths)
 }
 
 /// One offline `BatchEnum+` run: the ground truth the service must reproduce.
@@ -57,11 +72,10 @@ fn service_is_lossless_under_every_batching_policy() {
             .policy(policy)
             .start(graph.clone())
             .unwrap();
-        let handles = service.submit_all(queries.iter().copied());
+        let handles = admit_all(&service, &queries);
         for (i, handle) in handles.into_iter().enumerate() {
-            let result = handle.wait();
             assert_eq!(
-                canonical(&result.paths),
+                collected(handle).1,
                 reference[i],
                 "policy {name}: query {} must match the offline batch run",
                 queries[i]
@@ -83,14 +97,14 @@ fn zero_deadline_degenerates_to_per_query_execution() {
     let reference = offline_reference(&graph, &queries);
 
     let service = PathService::builder()
-        .policy(BatchPolicy::new(64, Duration::ZERO))
+        .policy(BatchPolicy::by_size(64, Duration::ZERO))
         .start(graph)
         .unwrap();
-    let handles = service.submit_all(queries.iter().copied());
+    let handles = admit_all(&service, &queries);
     for (i, handle) in handles.into_iter().enumerate() {
-        let result = handle.wait();
+        let (result, paths) = collected(handle);
         assert_eq!(result.batch_size, 1, "zero deadline ⇒ singleton batches");
-        assert_eq!(canonical(&result.paths), reference[i]);
+        assert_eq!(paths, reference[i]);
     }
     let stats = service.shutdown();
     assert_eq!(stats.num_batches, stats.num_queries);
@@ -115,9 +129,17 @@ fn replayed_poisson_stream_is_lossless_with_multiple_workers() {
         .policy(BatchPolicy::by_size(6, Duration::from_millis(5)))
         .start(graph)
         .unwrap();
-    let handles = service.replay(schedule);
+    // Replay the schedule open-loop: sleep until each offset, then submit.
+    let start = Instant::now();
+    let handles: Vec<SpecHandle> = schedule
+        .into_iter()
+        .map(|(offset, query)| {
+            std::thread::sleep(offset.saturating_sub(start.elapsed()));
+            service.try_submit_spec(QuerySpec::collect(query)).unwrap()
+        })
+        .collect();
     for (i, handle) in handles.into_iter().enumerate() {
-        assert_eq!(canonical(&handle.wait().paths), reference[i]);
+        assert_eq!(collected(handle).1, reference[i]);
     }
     let stats = service.shutdown();
     assert_eq!(stats.num_queries, queries.len());
@@ -133,9 +155,8 @@ fn service_stats_expose_micro_batch_counters() {
         ))
         .start(graph)
         .unwrap();
-    let handles = service.submit_all(queries.iter().copied());
-    for handle in handles {
-        handle.wait();
+    for handle in admit_all(&service, &queries) {
+        handle.wait_result().unwrap();
     }
     let uptime = service.uptime();
     let stats = service.shutdown();

@@ -121,12 +121,13 @@ fn service_stream_is_lossless(workers: usize) {
                 }
                 let expected =
                     Engine::new(Arc::clone(&snapshot), BatchEngine::default()).run(&[*q]);
-                expectations.push((service.submit(*q), *q, expected.paths));
+                let handle = service.try_submit_spec(QuerySpec::collect(*q)).unwrap();
+                expectations.push((handle, *q, expected.paths));
             }
             StreamEvent::Update(batch) => {
                 // Fire-and-forget: queue order alone guarantees the update lands
                 // before any later query, and shutdown() drains everything.
-                let _ = service.update(batch.clone());
+                let _ = service.try_update(batch.clone());
                 for update in batch {
                     oracle.apply(update);
                 }
@@ -139,9 +140,9 @@ fn service_stream_is_lossless(workers: usize) {
     assert!(stats.update_batches > 0);
 
     for (handle, query, expected) in expectations {
-        let result = handle.wait();
+        let paths = handle.wait_result().unwrap().response.into_paths().unwrap();
         assert_eq!(
-            vec![result.paths],
+            vec![paths],
             expected,
             "service ({workers} workers) lost losslessness \
              on {query} against its admission snapshot"
