@@ -164,12 +164,12 @@ impl EnumStats {
 
 /// Service-mode instrumentation of one executed micro-batch.
 ///
-/// A micro-batch is the set of queries one admission window of the serving layer closed
-/// over (see the `hcsp-service` crate); these counters sit on top of the per-run
-/// [`EnumStats`].
+/// A micro-batch is the set of queued queries one worker of the serving layer took and
+/// executed together (see the `hcsp-service` crate); these counters sit on top of the
+/// per-run [`EnumStats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MicroBatchStats {
-    /// Number of queries the admission window closed over.
+    /// Number of queries the worker took into the batch.
     pub batch_size: usize,
     /// Longest time any query of the batch spent waiting in the admission queue.
     pub max_queue_wait: Duration,
@@ -218,7 +218,7 @@ pub struct ServiceStats {
     /// Graph-update batches published (each counted once, however many worker engines
     /// later advance to the resulting epoch).
     pub update_batches: usize,
-    /// Update submissions (`PathService::update` calls) absorbed by those batches. The
+    /// Update submissions (`PathService::try_update` calls) absorbed by those batches. The
     /// epoch-publishing service records one batch per call, so the two counters agree
     /// there; a recorder that merges submissions before applying may record fewer
     /// batches than calls.

@@ -98,6 +98,12 @@ pub mod prelude {
 pub use hcsp_core::{Algorithm, BatchEngine, PathQuery};
 pub use hcsp_graph::{DiGraph, VertexId};
 
+// The README's Rust snippets compile and run as doctests of this crate, so they cannot
+// drift from the API they describe.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
+
 #[cfg(test)]
 mod tests {
     use super::prelude::*;

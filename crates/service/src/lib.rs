@@ -5,15 +5,16 @@
 //! ones.
 //!
 //! The paper's batch algorithms (`BatchEnum`, `BatchEnum+`) exploit the computation that
-//! queries arriving together have in common — but they take the batch as given. A serving
-//! system has to create those batches itself: each arriving query is held for at most a
-//! small admission window ([`BatchPolicy::max_delay`]) so that similar queries arriving
-//! close together execute as one shared micro-batch. The two extremes of the policy
-//! recover the two regimes compared throughout the paper:
+//! queries arriving together have in common — but they take the batch as given. The
+//! service forms batches without holding any query back: each worker takes the next
+//! queued query the moment it is free, together with whatever queued up behind it, up to
+//! [`BatchPolicy::max_batch_size`]. An idle service therefore answers every query alone,
+//! with no admission wait, and a loaded one executes its backlog as shared micro-batches.
+//! The two ends of the size cap recover the two regimes compared throughout the paper:
 //!
-//! * `max_delay = 0` (or `max_batch_size = 1`) — per-query execution, the PathEnum-style
-//!   real-time regime: minimal latency, no cross-query sharing.
-//! * large window / size cap — offline batching: maximal sharing, batch-formation latency.
+//! * `max_batch_size = 1` ([`BatchPolicy::immediate`]) — per-query execution, the
+//!   PathEnum-style real-time regime: no cross-query sharing.
+//! * a large size cap — a backlog runs as one batch: maximal sharing under load.
 //!
 //! Execution reuses one [`hcsp_core::Engine`] per worker, so the batch index persists
 //! across micro-batches (extended incrementally for new endpoints, rebuilt only when the

@@ -2,7 +2,7 @@
 //!
 //! The offline experiments hand a pre-assembled batch to the algorithms; the serving
 //! layer (`hcsp-service`) instead receives queries over time and must *form* batches
-//! under its admission policy. An [`ArrivalProcess`] turns a generated query set into a
+//! from whatever queues up behind its busy workers. An [`ArrivalProcess`] turns a generated query set into a
 //! deterministic open-loop schedule — `(offset from start, query)` pairs — that a service
 //! replays at its intended inter-arrival gaps. "Open loop" means arrival times do not
 //! depend on service completion times, the standard model for studying queueing behaviour
@@ -28,8 +28,9 @@ pub enum ArrivalProcess {
         gap: Duration,
     },
     /// Bursty arrivals: `burst_size` queries arrive at the same instant, consecutive
-    /// bursts are `gap` apart — the best case for an admission window (whole bursts share
-    /// one micro-batch) and the worst case for per-query serving.
+    /// bursts are `gap` apart — the best case for micro-batching (a burst queues up behind
+    /// a busy worker and shares its next micro-batch) and the worst case for per-query
+    /// serving.
     Bursty {
         /// Queries per burst (values of 0 are treated as 1).
         burst_size: usize,

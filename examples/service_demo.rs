@@ -10,7 +10,7 @@
 
 use hcsp::prelude::*;
 use hcsp::workload::{similar_query_set, ArrivalProcess, Dataset, DatasetScale, QuerySetSpec};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     // A social-network analog and a similarity-heavy query stream: many users asking
@@ -22,15 +22,15 @@ fn main() {
         graph.num_edges()
     );
     let queries = similar_query_set(&graph, QuerySetSpec::new(32, 9).with_hops(3, 4), 0.6);
-    // Poisson arrivals at 2000 queries/second — bursty enough that an admission window
-    // catches co-arriving queries.
+    // Poisson arrivals at 2000 queries/second — bursty enough that queries queue up
+    // behind a busy worker and run together as its next micro-batch.
     let schedule = ArrivalProcess::Poisson { rate_qps: 2000.0 }.schedule(&queries, 7);
 
     for (name, policy) in [
-        ("per-query (deadline 0)", BatchPolicy::immediate()),
+        ("per-query (size cap 1)", BatchPolicy::immediate()),
         (
-            "micro-batched (≤16 queries / 5 ms window)",
-            BatchPolicy::by_size(16, Duration::from_millis(5)),
+            "micro-batched (≤16 queued queries per batch)",
+            BatchPolicy { max_batch_size: 16 },
         ),
     ] {
         let service = PathService::builder()

@@ -1,7 +1,7 @@
 //! Service mode is lossless: queries fed one-by-one through `PathService` — under any
 //! batching policy — yield exactly the same per-query path sets as one offline
-//! `BatchEnum+` run over the same workload, and a deadline of zero degenerates to
-//! per-query execution.
+//! `BatchEnum+` run over the same workload, and a size cap of one is per-query
+//! execution.
 
 use hcsp::prelude::*;
 use hcsp::service::{BatchPolicy, PathService, SpecHandle, SpecResult};
@@ -97,13 +97,13 @@ fn zero_deadline_degenerates_to_per_query_execution() {
     let reference = offline_reference(&graph, &queries);
 
     let service = PathService::builder()
-        .policy(BatchPolicy::by_size(64, Duration::ZERO))
+        .policy(BatchPolicy::immediate())
         .start(graph)
         .unwrap();
     let handles = admit_all(&service, &queries);
     for (i, handle) in handles.into_iter().enumerate() {
         let (result, paths) = collected(handle);
-        assert_eq!(result.batch_size, 1, "zero deadline ⇒ singleton batches");
+        assert_eq!(result.batch_size, 1, "size cap 1 ⇒ singleton batches");
         assert_eq!(paths, reference[i]);
     }
     let stats = service.shutdown();
